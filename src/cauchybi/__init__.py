@@ -29,7 +29,6 @@ from .hp import (
     biorthogonality_entry,
     biorthogonality_matrix,
     biorthogonality_quadrature,
-    biorthogonality_scale,
     eval_form,
     form_identity_residual,
     solve_hp_vector,

@@ -93,13 +93,14 @@ def _poly_part_coeffs(p: Polynomial, moments):
 class HPSolution:
     """Immutable Hermite-Pade vector for one degree, with cached evaluators."""
 
-    def __init__(self, system: NikishinSystem, n: int, a, diagnostics):
+    def __init__(self, system: NikishinSystem, n: int, a, diagnostics, chains=None):
         self.system = system
         self.n = n
         self.a = tuple(a)
         self.diagnostics = dict(diagnostics)
         self.m = system.m
-        self._chains = {}
+        self._chains = dict(chains or {})
+        self._blocks = {}
         self._zeros = {}
         self._lock = threading.Lock()
 
@@ -117,19 +118,10 @@ class HPSolution:
         cached = self._chains.get(k)
         if cached is not None:
             return cached
-        mu = self.system.measure(k)
         if k == self.m:
-            vals = tuple(self.Q(x) for x in mu.nodes)
+            vals = tuple(self.Q(x) for x in self.system.measure(k).nodes)
         else:
-            nxt = self.system.measure(k + 1)
-            u = self._chain(k + 1)
-            vals = tuple(
-                sum(
-                    (w * uv / (x - t) for t, w, uv in zip(nxt.nodes, nxt.weights, u)),
-                    mpf(0),
-                )
-                for x in mu.nodes
-            )
+            (vals,) = self.system.push(k + 1, k, [self._chain(k + 1)])
         with self._lock:
             self._chains.setdefault(k, vals)
         return self._chains[k]
@@ -137,8 +129,9 @@ class HPSolution:
     def eval_form(self, j: int, z, route: str = "chain"):
         """A_{n,j}(z); j=m is the polynomial (-1)^m a_{n,m} = Q_n.
 
-        route="chain" uses the cached iterated quadrature; route="direct"
-        uses the defining combination against the generated transforms.
+        route="chain" contracts the cached chain vector at sigma_{j+1}'s
+        nodes in the system's fixed-point operator; route="direct" uses the
+        defining combination against the generated transforms in mpf.
         """
         if not 0 <= j <= self.m:
             raise IndexError(f"form index {j} out of 0..{self.m}")
@@ -154,12 +147,8 @@ class HPSolution:
                 sk = 1 if k % 2 == 0 else -1
                 acc += sk * self.a[k](z) * self.system.s_hat(j + 1, k, z)
             return acc
-        mu = self.system.measure(j + 1)
-        u = self._chain(j + 1)
-        return sum(
-            (w * uv / (z - x) for x, w, uv in zip(mu.nodes, mu.weights, u)),
-            mpc(0) if complex_z else mpf(0),
-        )
+        blocks = self._blocks.setdefault(j + 1, {})
+        return self.system.transform(j + 1, self._chain(j + 1), z, blocks)
 
     # -- zeros ---------------------------------------------------------
 
@@ -203,63 +192,20 @@ class HPSolution:
         return Polynomial.from_roots(self.zeros(j))
 
 
-def _order_diagnostics(sys: NikishinSystem, Q: Polynomial, n: int):
+def _order_residuals(sys: NikishinSystem, u, ua, n: int):
     """Laurent coefficients of the top form at z^-1..z^-(n+1).
 
     The coefficient of z^-r in the integral representation of the top form
     is the bilinear form of x^{r-1} against Q through the iterated kernel,
-    evaluated here by node values so that each coefficient is normalized by
-    the honest cancellation mass of its own contraction.  The first n
-    normalized residuals must vanish to roundoff; the (n+1)-st coefficient
-    magnitude is reported as the expansion scale.
+    evaluated from Q's chain u at sigma_1's nodes so that each coefficient
+    is normalized by the honest cancellation mass of its own contraction
+    (from the absolute-value chain ua).  The first n normalized residuals
+    must vanish to roundoff; the (n+1)-st coefficient magnitude is reported
+    as the expansion scale.
     """
-    mu1 = sys.measure(1)
-    if sys.m == 1:
-        u = [Q(x) for x in mu1.nodes]
-        ua = [abs(v) for v in u]
-    else:
-        mum = sys.measure(sys.m)
-        v = [Q(y) for y in mum.nodes]
-        va = [abs(x) for x in v]
-        prev = mum
-        for j in range(sys.m - 1, 0, -1):
-            mu = sys.measure(j)
-            v = [
-                sum(
-                    (
-                        w * g / (t - y)
-                        for y, w, g in zip(prev.nodes, prev.weights, v)
-                    ),
-                    mpf(0),
-                )
-                for t in mu.nodes
-            ]
-            va = [
-                sum(
-                    (
-                        w * g / abs(t - y)
-                        for y, w, g in zip(prev.nodes, prev.weights, va)
-                    ),
-                    mpf(0),
-                )
-                for t in mu.nodes
-            ]
-            prev = mu
-        u, ua = v, va
-    residuals = []
-    scale = mpf(0)
-    for r in range(1, n + 2):
-        c = mpf(0)
-        s = mpf(0)
-        for x, w, uv, uav in zip(mu1.nodes, mu1.weights, u, ua):
-            xp = x ** (r - 1)
-            c += w * xp * uv
-            s += w * abs(xp) * uav
-        if r <= n:
-            residuals.append(abs(c) / s)
-        else:
-            scale = abs(c)
-    return residuals, scale
+    coeffs = sys.power_sums(1, u, n + 1)
+    masses = sys.power_sums(1, ua, n, absolute=True)
+    return [abs(c) / s for c, s in zip(coeffs, masses)], abs(coeffs[n])
 
 
 def solve_hp_vector(sys: NikishinSystem, n: int) -> HPSolution:
@@ -280,11 +226,12 @@ def solve_hp_vector(sys: NikishinSystem, n: int) -> HPSolution:
             acc = acc + Polynomial(tuple(sk * c for c in part))
         sj = 1 if (j + 1) % 2 == 0 else -1
         a[j] = acc.scale(mpf(sj))
-    residuals, scale = _order_diagnostics(sys, Q, n)
+    chains, ua = _kernel_projection(sys, Q)
+    residuals, scale = _order_residuals(sys, chains[1], ua, n)
     diag["residuals"] = residuals
     diag["scale"] = scale
     diag["cond"] = diag.pop("condition")
-    return HPSolution(sys, n, a, diag)
+    return HPSolution(sys, n, a, diag, chains)
 
 
 def eval_form(sol: HPSolution, j: int, z, route: str = "chain"):
@@ -312,56 +259,22 @@ def biorthogonality_entry(sys: NikishinSystem, Pk: Polynomial, Qn: Polynomial):
     )
 
 
-def biorthogonality_scale(sys: NikishinSystem, Pk: Polynomial, Qn: Polynomial):
-    """Magnitude scale of the bilinear-form sum (for relative comparisons)."""
-    return sum(
-        (
-            abs(p) * abs(q) * abs(sys.bimoment(nu, mu))
-            for nu, p in enumerate(Pk.coeffs)
-            for mu, q in enumerate(Qn.coeffs)
-        ),
-        mpf(0),
-    )
-
-
 def _kernel_projection(sys: NikishinSystem, Qn: Polynomial):
-    """Chain Q's node values back to sigma_1's nodes through the kernel.
+    """Push Q's node values down the chain to sigma_1's nodes.
 
-    Returns (u, ua): the signed chain values and the absolute-value chain
-    (the per-node cancellation mass) at sigma_1's quadrature nodes.
+    Returns (chains, ua): chains[k] is the signed chain at sigma_k's nodes
+    for k = m..1 (an HPSolution's form vectors), and ua is the
+    absolute-value chain at sigma_1's nodes, the per-node cancellation mass.
     """
-    mu1 = sys.measure(1)
-    if sys.m == 1:
-        u = [Qn(x) for x in mu1.nodes]
-        return u, [abs(v) for v in u]
-    mum = sys.measure(sys.m)
-    v = [Qn(y) for y in mum.nodes]
-    va = [abs(x) for x in v]
-    prev = mum
-    for j in range(sys.m - 1, 0, -1):
-        mu = sys.measure(j)
-        v = [
-            sum(
-                (
-                    w * g / (t - y)
-                    for y, w, g in zip(prev.nodes, prev.weights, v)
-                ),
-                mpf(0),
-            )
-            for t in mu.nodes
-        ]
-        va = [
-            sum(
-                (
-                    w * g / abs(t - y)
-                    for y, w, g in zip(prev.nodes, prev.weights, va)
-                ),
-                mpf(0),
-            )
-            for t in mu.nodes
-        ]
-        prev = mu
-    return v, va
+    m = sys.m
+    u = tuple(Qn(x) for x in sys.measure(m).nodes)
+    chains = {m: u}
+    ua = tuple(abs(v) for v in u)
+    for j in range(m - 1, 0, -1):
+        (u,) = sys.push(j + 1, j, [u])
+        (ua,) = sys.push(j + 1, j, [ua], absolute=True)
+        chains[j] = u
+    return chains, ua
 
 
 def biorthogonality_quadrature(
@@ -375,15 +288,8 @@ def biorthogonality_quadrature(
     (much larger) monomial-coefficient one, so entry/scale stays resolvable
     at degrees where the coefficient-route scale would swamp the value.
     """
-    mu1 = sys.measure(1)
-    u, ua = _kernel_projection(sys, Qn)
-    entry = mpf(0)
-    scale = mpf(0)
-    for x, w, uv, uav in zip(mu1.nodes, mu1.weights, u, ua):
-        p = Pk(x)
-        entry += w * p * uv
-        scale += w * abs(p) * uav
-    return entry, scale
+    entries, scales = biorthogonality_matrix(sys, [Pk], [Qn])
+    return entries[0][0], scales[0][0]
 
 
 def biorthogonality_matrix(sys: NikishinSystem, Ps, Qs):
@@ -393,21 +299,16 @@ def biorthogonality_matrix(sys: NikishinSystem, Ps, Qs):
     chained through the kernel once, so the cost is linear rather than
     quadratic in the family size for the expensive part.
     """
-    mu1 = sys.measure(1)
-    p_vals = [[P(x) for x in mu1.nodes] for P in Ps]
+    nodes = sys.measure(1).nodes
+    p_vals = [[P(x) for x in nodes] for P in Ps]
+    p_abs = [[abs(p) for p in pv] for pv in p_vals]
     entries = [[None] * len(Qs) for _ in Ps]
     scales = [[None] * len(Qs) for _ in Ps]
     for col, Q in enumerate(Qs):
-        u, ua = _kernel_projection(sys, Q)
-        wu = [w * uv for w, uv in zip(mu1.weights, u)]
-        wua = [w * uav for w, uav in zip(mu1.weights, ua)]
-        for row, pv in enumerate(p_vals):
-            entries[row][col] = sum(
-                (p * g for p, g in zip(pv, wu)), mpf(0)
-            )
-            scales[row][col] = sum(
-                (abs(p) * g for p, g in zip(pv, wua)), mpf(0)
-            )
+        chains, ua = _kernel_projection(sys, Q)
+        for row, (pv, pa) in enumerate(zip(p_vals, p_abs)):
+            entries[row][col] = sys.dot(1, pv, chains[1])
+            scales[row][col] = sys.dot(1, pa, ua)
     return entries, scales
 
 

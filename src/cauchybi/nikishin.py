@@ -1,16 +1,25 @@
 """Nikishin systems: generated measures, iterated kernel, bimoments.
 
 Indices follow the 1-based convention sigma_1..sigma_m throughout the public
-surface.  Every multi-level integral is evaluated by a chain of single-level
-quadratures over the destination measure's nodes; inner Cauchy-transform
-values are cached per (j, k) pair, so the cost is O(m N^2) instead of N^m.
+surface.  Every multi-level integral is a chain of single-level quadratures
+through one Cauchy-chain operator: `push` contracts a batch of node vectors
+of sigma_j against the kernel 1/(t - x) onto the nodes of the neighbouring
+level j +- 1, and `transform` contracts one against 1/(z - x) at a single
+point.  Both run in fixed-point integers at the working precision plus guard
+bits derived from the node sets, against a kernel matrix cached per adjacent
+pair and precision, and round once to working precision; moments
+(`power_sums`) and Gram entries are summed the same way.  The plain-mpf
+loops kept here (`s_hat`, `kernel_K`, the monomial bimoments) are the
+independent oracles the tests check the operator against.
 """
 
 from __future__ import annotations
 
 import threading
+from operator import mul
 
 from mpmath import mp, mpf, mpc
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .measures import IntervalMeasure, SupportError
 from .poly import Polynomial
@@ -18,6 +27,50 @@ from .poly import Polynomial
 
 class SystemError_(ValueError):
     """Invalid Nikishin system configuration."""
+
+
+def _man_exp(x):
+    """(m, e) with x == m * 2**e exactly, m a signed int."""
+    sign, man, exp, _ = x._mpf_
+    return (-man if sign else man), exp
+
+
+def _to_mpf(man, exp):
+    """man * 2**exp rounded to the working precision."""
+    return mp.make_mpf(from_man_exp(man, exp, mp.prec, round_nearest))
+
+
+def _guard_bits(count, near=None, far=None):
+    """Guard bits for a count-term sum, ceil(log2 count) + 8, plus
+    ceil(log2(far/near)) for a contraction against 1/(t - x) with
+    near <= |t - x| <= far."""
+    guard = (count - 1).bit_length() + 8
+    if near is not None:
+        guard += mp.mag(far) - mp.mag(near) + 2
+    return guard
+
+
+def _block_ints(terms, guard):
+    """(Y, E): exact terms (m, e) on one exponent, m 2^e ~ Y_l 2^E with the
+    largest carrying prec + guard bits (block floating point)."""
+    top = max((e + m.bit_length() for m, e in terms if m), default=None)
+    if top is None:
+        return [0] * len(terms), 0
+    E = top - mp.prec - guard
+    return [m << (e - E) if e >= E else m >> (E - e) for m, e in terms], E
+
+
+def _round_bits(m, e, bits):
+    """m 2^e as (m', e') with m' truncated to at most `bits` bits."""
+    drop = m.bit_length() - bits
+    return (m >> drop, e + drop) if drop > 0 else (m, e)
+
+
+def _fixed_sum(terms):
+    """The sum of exact terms (m, e), rounded once to working precision;
+    the error is below 2^-(prec+7) times the sum of their absolute values."""
+    Y, E = _block_ints(terms, _guard_bits(len(terms)))
+    return _to_mpf(sum(Y), E)
 
 
 class NikishinSystem:
@@ -49,6 +102,9 @@ class NikishinSystem:
         self._basis_polys = {}
         self._gram_chain = {}
         self._grams = {}
+        self._fixed_levels = {}
+        self._kernels = {}
+        self._reversed = None
         self._lock = threading.Lock()
 
     def measure(self, j: int) -> IntervalMeasure:
@@ -61,7 +117,180 @@ class NikishinSystem:
         return self.measure(j).interval
 
     def reversed(self) -> "NikishinSystem":
-        return NikishinSystem(tuple(reversed(self.measures)))
+        """The chain read backwards; built once, and its reversal is self."""
+        if self._reversed is None:
+            with self._lock:
+                if self._reversed is None:
+                    rev = NikishinSystem(tuple(reversed(self.measures)))
+                    # the operator's caches are keyed by the measures, so
+                    # both orientations share them (and one lock)
+                    rev._fixed_levels = self._fixed_levels
+                    rev._kernels = self._kernels
+                    rev._lock = self._lock
+                    rev._reversed = self
+                    self._reversed = rev
+        return self._reversed
+
+    # -- the Cauchy-chain operator --------------------------------------
+    #
+    # A node vector v of sigma_j enters as block-floating-point ints
+    # Y_l ~ w_l v_l 2^-E (one exponent per vector, the largest entry carrying
+    # prec + guard bits) and is contracted against fixed-point reciprocals
+    # R_l ~ 2^F / (t - x_l) by exact integer dot products.  The error is at
+    # most 2^-(prec + 7) times the absolute-value sum of the same
+    # contraction, so the single rounding to working precision dominates.
+
+    def _fixed_level(self, j: int):
+        """sigma_j's nodes as ints X on one exponent e (x_l = X_l 2^e), its
+        weights as exact (mantissa, exponent) pairs, and its node hull."""
+        mu = self.measure(j)
+        cached = self._fixed_levels.get(id(mu))
+        if cached is not None:
+            return cached
+        nodes = [_man_exp(x) for x in mu.nodes]
+        e = min(ex for _, ex in nodes)
+        level = (
+            tuple(m << (ex - e) for m, ex in nodes),
+            e,
+            tuple(_man_exp(w) for w in mu.weights),
+            min(mu.nodes),
+            max(mu.nodes),
+        )
+        with self._lock:
+            return self._fixed_levels.setdefault(id(mu), level)
+
+    def _weighted(self, j: int, v):
+        """The products w_l v_l over sigma_j's nodes as exact (m, e) pairs."""
+        return [
+            (mw * mv, ew + ev)
+            for (mw, ew), (mv, ev) in zip(self._fixed_level(j)[2], map(_man_exp, v))
+        ]
+
+    def _reciprocals(self, j: int, z, F: int):
+        """2^F / (z - x_l) over sigma_j's nodes, rounded down to ints; for
+        complex z a pair (real parts, imaginary parts)."""
+        X, e, *_ = self._fixed_level(j)
+        if isinstance(z, mpc):
+            (ma, ea), (mb, eb) = _man_exp(z.real), _man_exp(z.imag)
+            e0 = min(e, ea, eb)
+            A, B = ma << (ea - e0), mb << (eb - e0)
+        else:
+            (ma, ea), B = _man_exp(z), None
+            e0 = min(e, ea)
+            A = ma << (ea - e0)
+        if e0 < e:
+            X = [x << (e - e0) for x in X]
+        s = F - e0
+        if B is None:
+            num = 1 << s
+            return [num // (A - x) for x in X]
+        BB, nB = B * B, -B << s
+        re, im = [], []
+        for x in X:
+            d = A - x
+            den = d * d + BB
+            re.append((d << s) // den)
+            im.append(nB // den)
+        return re, im
+
+    def _kernel(self, j: int, k: int):
+        """(rows, F, guard, sign): sign * rows[i][l] ~ 2^F / (t_i - x_l) for
+        t over sigma_k's nodes and x over sigma_j's, k = j +- 1.  Built
+        lazily per adjacent pair and precision; the opposite direction is
+        -C^T, the transposed rows of the same ints with the sign flipped."""
+        src, dst = self.measure(j), self.measure(k)
+        key = (id(src), id(dst), mp.prec)
+        cached = self._kernels.get(key)
+        if cached is not None:
+            return cached
+        back = self._kernels.get((id(dst), id(src), mp.prec))
+        if back is not None:
+            rows, F, guard, sign = back
+            kernel = (tuple(zip(*rows)), F, guard, -sign)
+        else:
+            lo_j, hi_j = self._fixed_level(j)[3:]
+            lo_k, hi_k = self._fixed_level(k)[3:]
+            ds = [abs(t - x) for t in (lo_k, hi_k) for x in (lo_j, hi_j)]
+            count = max(len(src.nodes), len(dst.nodes))
+            guard = _guard_bits(count, min(ds), max(ds))
+            F = mp.prec + guard + mp.mag(max(ds))
+            rows = tuple(tuple(self._reciprocals(j, t, F)) for t in dst.nodes)
+            kernel = (rows, F, guard, 1)
+        with self._lock:
+            return self._kernels.setdefault(key, kernel)
+
+    def push(self, j: int, k: int, vectors, absolute: bool = False):
+        """Cauchy transforms of the measures v dsigma_j at sigma_k's nodes,
+        k = j +- 1: for each node vector v, the tuple over sigma_k's nodes t
+        of sum_l w_l v_l / (t - x_l).  With absolute=True each is the
+        absolute-value companion sum_l w_l |v_l| / |t - x_l|, the
+        cancellation mass of the signed contraction."""
+        if abs(j - k) != 1:
+            raise IndexError(f"push from level {j} to {k}: not neighbours")
+        rows, F, guard, sign = self._kernel(j, k)
+        out = []
+        for v in vectors:
+            if absolute:
+                v = [abs(x) for x in v]
+            Y, E = _block_ints(self._weighted(j, v), guard)
+            if sign < 0:
+                Y = [-y for y in Y]
+            vals = tuple(_to_mpf(sum(map(mul, row, Y)), E - F) for row in rows)
+            # both supports are disjoint intervals, so the kernel has one
+            # sign and the absolute sum is the absolute value of the sum
+            out.append(tuple(abs(x) for x in vals) if absolute else vals)
+        return out
+
+    def transform(self, j: int, v, z, blocks: dict):
+        """sum_l w_l v_l / (z - x_l) over sigma_j's nodes at one point z
+        (mpf or mpc) off the node hull, in the operator's fixed point.
+        `blocks` is the caller's cache of v's fixed-point vectors."""
+        lo, hi = self._fixed_level(j)[3:]
+        far = max(abs(z - lo), abs(z - hi))
+        near = abs(z - min(max(z.real, lo), hi))
+        # a few guard values cover whole families of points
+        guard = -(-_guard_bits(len(v), near, far) // 16) * 16
+        key = (guard, mp.prec)
+        block = blocks.get(key)
+        if block is None:
+            block = blocks.setdefault(key, _block_ints(self._weighted(j, v), guard))
+        Y, E = block
+        F = mp.prec + guard + mp.mag(far)
+        R = self._reciprocals(j, z, F)
+        if isinstance(z, mpc):
+            re, im = (
+                from_man_exp(sum(map(mul, r, Y)), E - F, mp.prec, round_nearest)
+                for r in R
+            )
+            return mp.make_mpc((re, im))
+        return _to_mpf(sum(map(mul, R, Y)), E - F)
+
+    def dot(self, j: int, p, v):
+        """sum_l w_l p_l v_l over sigma_j's nodes, rounded once; the error is
+        below 2^-(prec+7) times sum_l |w_l p_l v_l|."""
+        return _fixed_sum(
+            [
+                (a * b, ea + eb)
+                for (a, ea), (b, eb) in zip(self._weighted(j, v), map(_man_exp, p))
+            ]
+        )
+
+    def power_sums(self, j: int, v, count: int, absolute: bool = False):
+        """sum_l w_l v_l x_l^r over sigma_j's nodes for r = 0..count-1; with
+        absolute=True, sum_l |w_l v_l x_l^r|.  Each term keeps its own
+        exponent while the powers build up, and each sum is rounded once."""
+        X, e, *_ = self._fixed_level(j)
+        terms = self._weighted(j, v)
+        if absolute:
+            terms = [(abs(m), ex) for m, ex in terms]
+            X = [abs(x) for x in X]
+        bits = mp.prec + _guard_bits(len(terms)) + count.bit_length()
+        sums = []
+        for r in range(count):
+            if r:
+                terms = [_round_bits(m * x, ex + e, bits) for (m, ex), x in zip(terms, X)]
+            sums.append(_fixed_sum(terms))
+        return sums
 
     # -- generated measures s_{j,k} ------------------------------------
 
@@ -85,7 +314,7 @@ class NikishinSystem:
             vals = tuple(mpf(1) for _ in mu.nodes)
         else:
             inner_j = j + 1 if j < k else j - 1
-            vals = tuple(self.s_hat(inner_j, k, x) for x in mu.nodes)
+            (vals,) = self.push(inner_j, j, [self.inner_values(inner_j, k)])
         with self._lock:
             self._inner_cache.setdefault(key, vals)
         return self._inner_cache[key]
@@ -116,9 +345,7 @@ class NikishinSystem:
 
     def s_mass(self, j: int, k: int):
         """Total mass of s_{j,k} (z * s_hat -> mass as z -> infinity)."""
-        mu = self.measure(j)
-        inner = self.inner_values(j, k)
-        return sum((w * g for w, g in zip(mu.weights, inner)), mpf(0))
+        return self.power_sums(j, self.inner_values(j, k), 1)[0]
 
     def s_moments(self, j: int, k: int, count: int):
         """Moments 0..count-1 of s_{j,k} (forward orientation, j <= k)."""
@@ -127,16 +354,10 @@ class NikishinSystem:
         key = (j, k)
         have = self._smoment_cache.get(key, [])
         if len(have) < count:
-            mu = self.measure(j)
-            inner = self.inner_values(j, k)
-            have = list(have)
-            for i in range(len(have), count):
-                have.append(
-                    sum(
-                        (w * g * x**i for x, w, g in zip(mu.nodes, mu.weights, inner)),
-                        mpf(0),
-                    )
-                )
+            # grow geometrically: solving degree n asks for n moments
+            have = self.power_sums(
+                j, self.inner_values(j, k), max(count, 2 * len(have))
+            )
             with self._lock:
                 self._smoment_cache[key] = have
         return self._smoment_cache[key][:count]
@@ -304,34 +525,16 @@ class NikishinSystem:
         return self._basis_polys[j][k]
 
     def _gram_chain_values(self, nu: int):
-        """Like the monomial bimoment chain, seeded with a basis element."""
+        """Basis element nu of Delta_1 pushed along the chain to sigma_m's
+        nodes (the kernel sign (-1)^(m-1) is applied by `gram`)."""
         cached = self._gram_chain.get(nu)
         if cached is not None:
             return cached
-        mu1 = self.measure(1)
-        mu2 = self.measure(2)
-        p = self.basis_values(1, nu + 1)[nu]
-        h = [
-            sum(
-                (w * pv / (x - t) for x, w, pv in zip(mu1.nodes, mu1.weights, p)),
-                mpf(0),
-            )
-            for t in mu2.nodes
-        ]
-        for j in range(2, self.m):
-            mu = self.measure(j)
-            mu_next = self.measure(j + 1)
-            h = [
-                sum(
-                    (w * hv / (x - t) for x, w, hv in zip(mu.nodes, mu.weights, h)),
-                    mpf(0),
-                )
-                for t in mu_next.nodes
-            ]
-        h = tuple(h)
+        h = self.basis_values(1, nu + 1)[nu]
+        for j in range(1, self.m):
+            (h,) = self.push(j, j + 1, [h])
         with self._lock:
-            self._gram_chain.setdefault(nu, h)
-        return self._gram_chain[nu]
+            return self._gram_chain.setdefault(nu, h)
 
     def gram(self, nu: int, mu_idx: int):
         """Bimoment bilinear form on the adapted bases: the (nu, mu) entry
@@ -342,18 +545,10 @@ class NikishinSystem:
         cached = self._grams.get(key)
         if cached is not None:
             return cached
-        mum = self.measure(self.m)
         q = self.basis_values(self.m, mu_idx + 1)[mu_idx]
-        if self.m == 1:
-            p = self.basis_values(1, nu + 1)[nu]
-            val = sum(
-                (w * pv * qv for w, pv, qv in zip(mum.weights, p, q)), mpf(0)
-            )
-        else:
-            h = self._gram_chain_values(nu)
-            val = sum(
-                (w * qv * hv for w, qv, hv in zip(mum.weights, q, h)), mpf(0)
-            )
+        val = self.dot(self.m, q, self._gram_chain_values(nu))
+        if self.m % 2 == 0:
+            val = -val
         with self._lock:
             self._grams.setdefault(key, val)
         return self._grams[key]

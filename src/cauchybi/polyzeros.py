@@ -69,8 +69,8 @@ def real_roots(p: Polynomial, bracket: Interval):
     """All deg(p) real simple roots of p inside the bracket, sorted.
 
     Grid bracketing + Illinois refinement; if the scan cannot isolate all
-    roots, falls back to polynomial eigenvalues at doubled precision and
-    validates the count.
+    roots (or finds one twice), falls back to polynomial eigenvalues at
+    doubled precision and validates the count.
     """
     n = p.degree
     if n <= 0:
@@ -78,11 +78,14 @@ def real_roots(p: Polynomial, bracket: Interval):
     xtol = mpf(10) ** (-mp.dps // 3) * max(mpf(1), abs(bracket.a), abs(bracket.b))
     brackets = _scan_sign_changes(p, bracket.a, bracket.b, n, 8 * n)
     if brackets is not None and len(brackets) == n:
-        roots = [
+        roots = sorted(
             refine_bracket(p, lo, hi, flo, fhi, xtol)
             for lo, hi, flo, fhi in brackets
-        ]
-        return sorted(roots)
+        )
+        # a root on a grid point ends two brackets and can be found twice
+        # (the other bracket's root then missed): the roots are simple
+        if all(b - a > xtol for a, b in zip(roots, roots[1:])):
+            return roots
     # companion-matrix route at doubled precision
     with mp.extraprec(mp.prec):
         cand = mp.polyroots(list(reversed(p.coeffs)), maxsteps=200, extraprec=mp.prec)

@@ -1,15 +1,25 @@
 """Nikishin chains: generated measures, kernels, bimoments, adapted bases."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 from mpmath import mp, mpf, mpc
 
 from cauchybi import (
+    Interval,
     SystemError_,
+    WeightSpec,
     cauchy_transform,
     lebesgue,
+    make_measure,
     make_system,
+    solve_hp_vector,
 )
 from cauchybi.hp import biorthogonality_entry
+
+# the operator checks run on small rules: the bound is per node count
+OPERATOR_NODES = 32
 
 
 def quad_tol():
@@ -44,6 +54,22 @@ def test_reversed_swaps_chain(s2):
     # reversing twice restores the original order
     rr = r.reversed()
     assert rr.measure(1).interval.a == 0
+    # built once, both ways
+    assert s2.reversed() is r
+    assert rr is s2
+
+
+def test_reversed_built_once_across_threads():
+    sys_ = make_system([lebesgue(0, 1, 8), lebesgue(2, 3, 8)])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            revs = list(pool.map(lambda _: sys_.reversed(), range(64)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r is revs[0] for r in revs)
+    assert revs[0].reversed() is sys_
 
 
 def test_s_hat_level_zero_is_plain_transform(s2):
@@ -161,3 +187,90 @@ def test_gram_equals_bimoment_bilinear_form(s2):
                 s2, s2.basis_polynomial(1, nu), s2.basis_polynomial(2, mu_)
             )
             assert abs(g - direct) < mpf(10) ** (-100) * max(1, abs(g))
+
+
+def _operator_system(family):
+    if family == "s2":
+        return make_system(
+            [lebesgue(0, 1, OPERATOR_NODES), lebesgue(2, 3, OPERATOR_NODES)]
+        )
+    return make_system(
+        [
+            lebesgue(0, 1, OPERATOR_NODES),
+            make_measure(
+                Interval("1.15", "2.15"), WeightSpec("-0.5", "-0.5"), OPERATOR_NODES
+            ),
+            lebesgue("2.3", "3.3", OPERATOR_NODES),
+        ]
+    )
+
+
+def _loop_push(system, j, k, v, absolute):
+    """The same contraction as a plain mpf loop at the current precision."""
+    mu = system.measure(j)
+    if absolute:
+        return [
+            sum((w * abs(g) / abs(t - x) for x, w, g in zip(mu.nodes, mu.weights, v)), mpf(0))
+            for t in system.measure(k).nodes
+        ]
+    return [
+        sum((w * g / (t - x) for x, w, g in zip(mu.nodes, mu.weights, v)), mpf(0))
+        for t in system.measure(k).nodes
+    ]
+
+
+@pytest.mark.parametrize("family", ["s2", "m3"])
+def test_push_matches_mpf_loop_at_doubled_precision(family):
+    sys_ = _operator_system(family)
+    eps = mpf(2) ** (-mp.prec)
+    for j in range(1, sys_.m):
+        for src, dst in ((j, j + 1), (j + 1, j)):
+            # an oscillating vector whose contraction cancels, and a
+            # one-signed one spanning many binades
+            osc = sys_.basis_values(src, 8)[7]
+            graded = [mpf(2) ** (-4 * l) for l in range(OPERATOR_NODES)]
+            for v in (osc, graded):
+                (signed,) = sys_.push(src, dst, [v])
+                (absolute,) = sys_.push(src, dst, [v], absolute=True)
+                with mp.workprec(2 * mp.prec):
+                    ref = _loop_push(sys_, src, dst, v, False)
+                    ref_abs = _loop_push(sys_, src, dst, v, True)
+                    for got, got_abs, r, ra in zip(signed, absolute, ref, ref_abs):
+                        assert abs(got - r) <= eps * ra
+                        assert abs(got_abs - ra) <= eps * ra
+
+
+@pytest.mark.parametrize("family", ["s2", "m3"])
+def test_eval_form_fixed_point_matches_direct_route(family):
+    sys_ = _operator_system(family)
+    sol = solve_hp_vector(sys_, 5)
+    eps = mpf(2) ** (-mp.prec)
+    for z in (mpf(-2), mpc("1.5", "1.5")):
+        for j in range(sys_.m):
+            a = sol.eval_form(j, z)
+            b = sol.eval_form(j, z, route="direct")
+            assert abs(a - b) <= mpf(10) ** (-60) * max(1, abs(a))
+            # the same contraction in mpf at doubled precision
+            mu = sys_.measure(j + 1)
+            u = sol._chain(j + 1)
+            with mp.workprec(2 * mp.prec):
+                ref = sum((w * g / (z - x) for x, w, g in zip(mu.nodes, mu.weights, u)), mpc(0))
+                mass = sum((w * abs(g) / abs(z - x) for x, w, g in zip(mu.nodes, mu.weights, u)), mpf(0))
+                assert abs(a - ref) <= eps * mass
+
+
+@pytest.mark.parametrize("family", ["s2", "m3"])
+def test_power_sums_match_mpf_loop_at_doubled_precision(family):
+    sys_ = _operator_system(family)
+    eps = mpf(2) ** (-mp.prec)
+    mu = sys_.measure(2)
+    v = sys_.basis_values(2, 8)[7]
+    count = 12
+    sums = sys_.power_sums(2, v, count)
+    masses = sys_.power_sums(2, v, count, absolute=True)
+    with mp.workprec(2 * mp.prec):
+        for r in range(count):
+            terms = [w * g * x**r for x, w, g in zip(mu.nodes, mu.weights, v)]
+            mass = sum((abs(t) for t in terms), mpf(0))
+            assert abs(sums[r] - sum(terms, mpf(0))) <= eps * mass
+            assert abs(masses[r] - mass) <= eps * mass

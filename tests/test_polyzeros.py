@@ -1,7 +1,7 @@
 """Root isolation, counting measures, interlacing, potentials, distances."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
 from cauchybi import (
@@ -43,6 +43,8 @@ def test_real_roots_count_mismatch_raises():
 
 
 @settings(max_examples=20, deadline=None)
+# a root on the scan grid next to another root, 0.01 to its right
+@example(ks=[24, 25, 37])
 @given(
     st.lists(
         st.integers(min_value=1, max_value=98),
