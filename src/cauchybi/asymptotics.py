@@ -16,7 +16,7 @@ inconsistent with that telescoping except when m = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from mpmath import mp, mpf, mpc, exp
 
@@ -35,6 +35,9 @@ class AsymptoticPredictor:
     equilibrium: EquilibriumSolution
     gammas: tuple  # gamma_1..gamma_m
     kappas: tuple  # kappa_1..kappa_m
+    # V^{lambda_k}(z) by (k, z, precision): the estimators ask for the same
+    # few potentials many times, and log_potential sums over every cell
+    _potentials: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -50,7 +53,12 @@ class AsymptoticPredictor:
         """V^{lambda_k}(z); V^{lambda_0} = V^{lambda_{m+1}} = 0."""
         if k == 0 or k == self.m + 1:
             return mpf(0)
-        return log_potential(self.equilibrium.lambdas[k - 1], z)
+        key = (k, z, mp.prec)
+        value = self._potentials.get(key)
+        if value is None:
+            value = log_potential(self.equilibrium.lambdas[k - 1], z)
+            self._potentials[key] = value
+        return value
 
     def log_F(self, k: int, z) -> mpf:
         """log |F_k(z)| (F_0 = F_{m+1} = 1)."""

@@ -153,7 +153,11 @@ def _get_solutions(cfg: RunConfig, sys_obj, kind: str, force: bool, jobs: int):
         path = _solution_path(outdir, kind, n)
         if not force and os.path.exists(path):
             with open(path) as fh:
-                return hp.solution_from_json(sys_obj, json.load(fh))
+                doc = json.load(fh)
+            # a file without Q's adapted coefficients is solved again: its
+            # monomial Q alone would start every chain with lossy digits
+            if "c" in doc:
+                return hp.solution_from_json(sys_obj, doc)
         sol = hp.solve_hp_vector(sys_obj, n)
         atomic_write(path, json.dumps(hp.solution_to_json(sol), indent=1))
         return sol
@@ -265,6 +269,12 @@ def run_suites(cfg: RunConfig, suites, force: bool = False, jobs: int = 1):
     )
     reports = []
     half_tol = tol()
+    # one predictor for both estimator suites, so they share its potentials
+    pred = (
+        asymptotics.make_predictor(_load_or_solve_eq(cfg))
+        if "ratio-asymptotics" in suites or ("rate" in suites and m >= 2)
+        else None
+    )
 
     if "zero-location" in suites:
         gap_floor = mpf(10) ** (-mp.dps // 4)
@@ -333,8 +343,6 @@ def run_suites(cfg: RunConfig, suites, force: bool = False, jobs: int = 1):
         reports.append(_suite_report("weak-asymptotics", gaps, threshold))
 
     if "ratio-asymptotics" in suites:
-        eq = _load_or_solve_eq(cfg)
-        pred = asymptotics.make_predictor(eq)
         rows = asymptotics.empirical_tables(fwd, cfg.probes, "ratioQ", pred)
         gaps = [r["rel_gap"] for r in rows if r["n"] == cfg.n_max - 1]
         reports.append(_suite_report("ratio-asymptotics", gaps, mpf("0.02")))
@@ -353,8 +361,6 @@ def run_suites(cfg: RunConfig, suites, force: bool = False, jobs: int = 1):
                 }
             )
         else:
-            eq = _load_or_solve_eq(cfg)
-            pred = asymptotics.make_predictor(eq)
             rows = asymptotics.empirical_tables(fwd, cfg.probes, "rate", pred)
             gaps = [r["rel_gap"] for r in rows if r["n"] == cfg.n_max - 1]
             reports.append(_suite_report("rate", gaps, mpf("0.05")))

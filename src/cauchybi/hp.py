@@ -19,6 +19,7 @@ import threading
 from dataclasses import dataclass, field
 
 from mpmath import mp, mpf, mpc
+from mpmath.libmp import repr_dps
 
 from .linalg import solve
 from .measures import SupportError
@@ -35,7 +36,7 @@ def _solve_Qn(sys: NikishinSystem, n: int):
     if n < 0:
         raise ValueError("degree must be >= 0")
     if n == 0:
-        return Polynomial.one(), {"condition": mpf(1), "solve_residual": mpf(0)}
+        return Polynomial.one(), (), {"condition": mpf(1), "solve_residual": mpf(0)}
     # solve in the interval-adapted bases: same orthogonality conditions,
     # but the matrix conditioning drops to the kernel's intrinsic decay
     A = [[sys.gram(nu, mu) for mu in range(n)] for nu in range(n)]
@@ -58,19 +59,20 @@ def _solve_Qn(sys: NikishinSystem, n: int):
             f"bimoment system for n={n} numerically singular ({ex}); "
             "raise the working precision"
         ) from ex
-    c = [c[mu] * col_scale[mu] for mu in range(n)]
+    c = tuple(c[mu] * col_scale[mu] for mu in range(n))
     Q = sys.basis_polynomial(sys.m, n)
     for mu, cm in enumerate(c):
         Q = Q + sys.basis_polynomial(sys.m, mu).scale(cm)
     return (
         Q,
+        c,
         {"condition": info["condition"], "solve_residual": info["residual"]},
     )
 
 
 def solve_Qn(sys: NikishinSystem, n: int) -> Polynomial:
     """Monic degree-n biorthogonal polynomial of the system."""
-    Q, _ = _solve_Qn(sys, n)
+    Q, _, _ = _solve_Qn(sys, n)
     return Q
 
 
@@ -90,13 +92,30 @@ def _poly_part_coeffs(p: Polynomial, moments):
     return out
 
 
-class HPSolution:
-    """Immutable Hermite-Pade vector for one degree, with cached evaluators."""
+def _adapted_values(sys: NikishinSystem, c):
+    """Q = p_n + sum_mu c_mu p_mu at sigma_m's nodes, p_0..p_n the mapped
+    Legendre basis of Delta_m; each value is one exactly summed dot."""
+    coeffs = (*c, mpf(1))
+    return tuple(
+        mp.fdot(coeffs, col)
+        for col in zip(*sys.basis_values(sys.m, len(coeffs)))
+    )
 
-    def __init__(self, system: NikishinSystem, n: int, a, diagnostics, chains=None):
+
+class HPSolution:
+    """Immutable Hermite-Pade vector for one degree, with cached evaluators.
+
+    `c` holds Q's coefficients in the mapped Legendre basis of Delta_m
+    (Q = p_n + sum_mu c_mu p_mu); every chain starts from Q's values in that
+    basis.  The monomial Q and a_{n,j} are kept for the public API and for
+    the zeros on level m.
+    """
+
+    def __init__(self, system: NikishinSystem, n: int, a, c, diagnostics, chains=None):
         self.system = system
         self.n = n
         self.a = tuple(a)
+        self.c = tuple(c)
         self.diagnostics = dict(diagnostics)
         self.m = system.m
         self._chains = dict(chains or {})
@@ -119,7 +138,7 @@ class HPSolution:
         if cached is not None:
             return cached
         if k == self.m:
-            vals = tuple(self.Q(x) for x in self.system.measure(k).nodes)
+            vals = _adapted_values(self.system, self.c)
         else:
             (vals,) = self.system.push(k + 1, k, [self._chain(k + 1)])
         with self._lock:
@@ -211,7 +230,7 @@ def _order_residuals(sys: NikishinSystem, u, ua, n: int):
 def solve_hp_vector(sys: NikishinSystem, n: int) -> HPSolution:
     """Full vector (a_{n,0},...,a_{n,m}) plus diagnostics for degree n."""
     m = sys.m
-    Q, diag = _solve_Qn(sys, n)
+    Q, c, diag = _solve_Qn(sys, n)
     a = [None] * (m + 1)
     a[m] = Q if m % 2 == 0 else Q.scale(mpf(-1))
     for j in range(m - 1, -1, -1):
@@ -226,12 +245,12 @@ def solve_hp_vector(sys: NikishinSystem, n: int) -> HPSolution:
             acc = acc + Polynomial(tuple(sk * c for c in part))
         sj = 1 if (j + 1) % 2 == 0 else -1
         a[j] = acc.scale(mpf(sj))
-    chains, ua = _kernel_projection(sys, Q)
+    chains, ua = _kernel_projection(sys, _adapted_values(sys, c))
     residuals, scale = _order_residuals(sys, chains[1], ua, n)
     diag["residuals"] = residuals
     diag["scale"] = scale
     diag["cond"] = diag.pop("condition")
-    return HPSolution(sys, n, a, diag, chains)
+    return HPSolution(sys, n, a, c, diag, chains)
 
 
 def eval_form(sol: HPSolution, j: int, z, route: str = "chain"):
@@ -259,15 +278,14 @@ def biorthogonality_entry(sys: NikishinSystem, Pk: Polynomial, Qn: Polynomial):
     )
 
 
-def _kernel_projection(sys: NikishinSystem, Qn: Polynomial):
-    """Push Q's node values down the chain to sigma_1's nodes.
+def _kernel_projection(sys: NikishinSystem, u):
+    """Push Q's values u at sigma_m's nodes down the chain to sigma_1's.
 
     Returns (chains, ua): chains[k] is the signed chain at sigma_k's nodes
     for k = m..1 (an HPSolution's form vectors), and ua is the
     absolute-value chain at sigma_1's nodes, the per-node cancellation mass.
     """
     m = sys.m
-    u = tuple(Qn(x) for x in sys.measure(m).nodes)
     chains = {m: u}
     ua = tuple(abs(v) for v in u)
     for j in range(m - 1, 0, -1):
@@ -304,8 +322,9 @@ def biorthogonality_matrix(sys: NikishinSystem, Ps, Qs):
     p_abs = [[abs(p) for p in pv] for pv in p_vals]
     entries = [[None] * len(Qs) for _ in Ps]
     scales = [[None] * len(Qs) for _ in Ps]
+    q_nodes = sys.measure(sys.m).nodes
     for col, Q in enumerate(Qs):
-        chains, ua = _kernel_projection(sys, Q)
+        chains, ua = _kernel_projection(sys, tuple(Q(x) for x in q_nodes))
         for row, (pv, pa) in enumerate(zip(p_vals, p_abs)):
             entries[row][col] = sys.dot(1, pv, chains[1])
             scales[row][col] = sys.dot(1, pa, ua)
@@ -347,6 +366,8 @@ def solution_to_json(sol: HPSolution, include_zeros: bool = True) -> dict:
         "n": sol.n,
         "m": sol.m,
         "a": [[mp.nstr(c, mp.dps) for c in p.coeffs] for p in sol.a],
+        # exact round trip: chains start from these
+        "c": [mp.nstr(c, repr_dps(mp.prec)) for c in sol.c],
         "zeros": {},
         "diagnostics": {
             "cond": mp.nstr(sol.diagnostics["cond"], 8),
@@ -362,7 +383,8 @@ def solution_to_json(sol: HPSolution, include_zeros: bool = True) -> dict:
 
 
 def solution_from_json(sys: NikishinSystem, doc: dict) -> HPSolution:
-    """Rebuild a solution (with cached zeros) against an existing system."""
+    """Rebuild a solution (with cached zeros) against an existing system;
+    `doc` must carry Q's adapted coefficients "c"."""
     a = [Polynomial(tuple(mpf(c) for c in coeffs)) for coeffs in doc["a"]]
     diag = {
         "cond": mpf(doc["diagnostics"]["cond"]),
@@ -370,7 +392,7 @@ def solution_from_json(sys: NikishinSystem, doc: dict) -> HPSolution:
         "residuals": [mpf(r) for r in doc["diagnostics"]["residuals"]],
         "scale": mpf(doc["diagnostics"]["scale"]),
     }
-    sol = HPSolution(sys, doc["n"], a, diag)
+    sol = HPSolution(sys, doc["n"], a, [mpf(c) for c in doc["c"]], diag)
     for j_str, zs in doc.get("zeros", {}).items():
         sol._zeros[int(j_str)] = tuple(mpf(x) for x in zs)
     return sol

@@ -1,10 +1,20 @@
 """Finite positive measures on compact intervals with Jacobi-type weights.
 
 A measure is w(x) dx on [a, b] with w(x) = (x-a)^alpha (b-x)^beta * poly(x),
-poly strictly positive on [a, b].  Integration goes through a Gauss-Jacobi
-rule for the (alpha, beta) part, generated by the Golub-Welsch route in
-double precision and Newton-polished in the working precision; the
-polynomial factor is folded into the quadrature weights.
+poly strictly positive on [a, b].  Integration goes through an N-node
+Gauss-Jacobi rule for the (alpha, beta) part, mapped onto [a, b], with the
+polynomial factor folded into the weights.
+
+The rule on [-1, 1] comes from Newton's method on the orthonormal Jacobi
+recurrence, run in fixed-point integers with 32 guard bits: one pass gives
+p_N, p_N' and the Christoffel sum of p_0^2..p_{N-1}^2, whose reciprocal is
+the weight.  Newton starts from scipy's double-precision nodes and climbs a
+precision ladder (96, 192, 384, ... bits) to the working precision, where it
+takes two steps; a node whose last step is not negligible is an error.  For
+alpha = beta only the nodes left of 0 are solved and the rest mirrored (the
+middle node of an odd rule is exactly 0).  Rules are cached per process by
+(N, alpha, beta, precision), so measures with the same weight and node count
+share one.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ import numpy as np
 from mpmath import mp, mpf, mpc
 from scipy.special import roots_jacobi
 
-from .precision import set_precision
+from .precision import _man_exp, _to_mpf, set_precision
 
 
 class MeasureError(ValueError):
@@ -27,15 +37,6 @@ class SupportError(ValueError):
     """Evaluation requested at a point on the support."""
 
 
-def _to_mpf(x) -> mpf:
-    """Parse a number (decimal string preferred) at full working precision."""
-    if isinstance(x, str):
-        return mpf(x)
-    if isinstance(x, (int, float)):
-        return mpf(x)
-    return mpf(x)
-
-
 @dataclass(frozen=True)
 class Interval:
     """Bounded real interval [a, b], a < b."""
@@ -44,8 +45,8 @@ class Interval:
     b: mpf
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _to_mpf(self.a))
-        object.__setattr__(self, "b", _to_mpf(self.b))
+        object.__setattr__(self, "a", mpf(self.a))
+        object.__setattr__(self, "b", mpf(self.b))
         if not (mp.isfinite(self.a) and mp.isfinite(self.b)):
             raise MeasureError("interval endpoints must be finite")
         if not self.a < self.b:
@@ -60,7 +61,7 @@ class Interval:
         return (self.a + self.b) / 2
 
     def contains(self, x, closed: bool = True) -> bool:
-        x = _to_mpf(x)
+        x = mpf(x)
         if closed:
             return self.a <= x <= self.b
         return self.a < x < self.b
@@ -100,11 +101,9 @@ class WeightSpec:
     poly_factor: tuple = (mpf(1),)
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _to_mpf(self.alpha))
-        object.__setattr__(self, "beta", _to_mpf(self.beta))
-        object.__setattr__(
-            self, "poly_factor", tuple(_to_mpf(c) for c in self.poly_factor)
-        )
+        object.__setattr__(self, "alpha", mpf(self.alpha))
+        object.__setattr__(self, "beta", mpf(self.beta))
+        object.__setattr__(self, "poly_factor", tuple(map(mpf, self.poly_factor)))
         if not self.alpha > -1:
             raise MeasureError(f"alpha must be > -1, got {self.alpha}")
         if not self.beta > -1:
@@ -170,57 +169,98 @@ def jacobi_recurrence(n: int, A, B):
     return a, b
 
 
-def _monic_eval(t, a, b, n):
-    """Values p_0..p_n and derivative p_n' of the monic recurrence at t."""
-    pkm1, pk = mpf(0), mpf(1)
-    dkm1, dk = mpf(0), mpf(0)
-    values = [pk]
-    for k in range(n):
-        pkp1 = (t - a[k]) * pk - (b[k] * pkm1 if k > 0 else 0)
-        dkp1 = pk + (t - a[k]) * dk - (b[k] * dkm1 if k > 0 else 0)
-        pkm1, pk = pk, pkp1
-        dkm1, dk = dk, dkp1
-        values.append(pk)
-    return values, dk
+# [-1, 1] rules by (N, A, B, precision): every level, system and command of
+# a process that asks for the same weight and node count shares one
+_RULES = {}
+
+
+def _fixed(x, bits: int) -> int:
+    """x * 2**bits rounded down to an int."""
+    m, e = _man_exp(x)
+    e += bits
+    return m << e if e >= 0 else m >> -e
+
+
+def _orthonormal_pass(T: int, p0: int, coeffs, bits: int):
+    """p_N, p_N' and sum_{k<N} p_k^2 of the orthonormal recurrence
+    sqrt(b_{k+1}) p_{k+1} = (t - a_k) p_k - sqrt(b_k) p_{k-1} at t = T 2^-bits,
+    with coeffs the rows (a_k, sqrt(b_k), 1/sqrt(b_{k+1})) as ints scaled by
+    2^bits; p_N and p_N' are scaled by 2^bits, the sum by 2^(2 bits)."""
+    pm, p, dm, d, s = 0, p0, 0, 0, 0
+    for a, r, inv in coeffs:
+        s += p * p
+        u = T - a
+        pm, p, dm, d = (
+            p,
+            ((u * p - r * pm) >> bits) * inv >> bits,
+            d,
+            (((p << bits) + u * d - r * dm) >> bits) * inv >> bits,
+        )
+    return p, d, s
 
 
 def gauss_jacobi_rule(n: int, A, B):
     """Gauss nodes/weights for (1-t)^A (1+t)^B on [-1, 1] at working precision.
 
-    Double-precision Golub-Welsch seeds (scipy) refined by Newton on the
-    monic three-term recurrence; weights from the orthonormal
-    Christoffel-function sum, which is positive by construction.
+    Newton on the orthonormal recurrence in fixed point from scipy's
+    double-precision nodes; each weight is the reciprocal Christoffel sum of
+    the last pass, positive by construction.  Cached by (n, A, B, precision).
     """
     if n < 1:
         raise MeasureError("node_count must be >= 1")
     A, B = mpf(A), mpf(B)
-    a, b = jacobi_recurrence(n, A, B)
-    seeds, _ = roots_jacobi(n, float(A), float(B))
-    eps = mpf(2) ** (-mp.prec + 4)
-    nodes = []
-    for s in sorted(seeds):
-        t = mpf(float(s))
-        for _ in range(80):
-            vals, deriv = _monic_eval(t, a, b, n)
-            step = vals[n] / deriv
-            t -= step
-            if abs(step) <= eps * max(mpf(1), abs(t)):
-                break
-        nodes.append(t)
-    # orthonormal normalization: ||p_k||^2 = b[0]*...*b[k]
-    norms2 = []
-    acc = mpf(1)
-    for k in range(n):
-        acc *= b[k]
-        norms2.append(acc)
-    weights = []
-    for t in nodes:
-        vals, _ = _monic_eval(t, a, b, n - 1)
-        s = mpf(0)
-        for k in range(n):
-            s += vals[k] * vals[k] / norms2[k]
-        weights.append(1 / s)
-    return nodes, weights
+    key = (n, A, B, mp.prec)
+    rule = _RULES.get(key)
+    if rule is not None:
+        return rule
+    prec = mp.prec
+    top = prec + 32
+    with mp.workprec(top + 32):
+        a, b = jacobi_recurrence(n + 1, A, B)
+        r = [mp.sqrt(x) for x in b]
+        rows = [
+            (_fixed(a[k], top), _fixed(r[k], top), _fixed(1 / r[k + 1], top))
+            for k in range(n)
+        ]
+        p0 = _fixed(1 / r[0], top)
+    # one Newton step per rung of 96, 192, 384, ... bits, two at the top
+    ladder = [96 << i for i in range(top.bit_length()) if 96 << i < top] + [top, top]
+    scaled = {
+        bits: ([tuple(c >> (top - bits) for c in row) for row in rows], p0 >> (top - bits))
+        for bits in ladder
+    }
+    seeds = sorted(roots_jacobi(n, float(A), float(B))[0])
+    symmetric = A == B
+    if symmetric:
+        seeds = seeds[: n // 2]
+    nodes, weights = [], []
+    for seed in seeds:
+        T, prev = int(seed * 2.0 ** ladder[0]), ladder[0]
+        for bits in ladder:
+            T <<= bits - prev
+            prev = bits
+            coeffs, start = scaled[bits]
+            p, d, s = _orthonormal_pass(T, start, coeffs, bits)
+            step = (p << bits) // d
+            T -= step
+        if abs(step) > 1 << (top - prec + 8):
+            raise MeasureError(
+                f"Gauss-Jacobi Newton did not converge (N={n}, "
+                f"alpha={mp.nstr(B, 8)}, beta={mp.nstr(A, 8)}): "
+                f"last step {mp.nstr(_to_mpf(step, -top), 3)}"
+            )
+        nodes.append(_to_mpf(T, -top))
+        weights.append(1 / _to_mpf(s, -2 * top))
+    if symmetric:
+        middle = []
+        if n % 2:
+            _, _, s = _orthonormal_pass(0, p0, rows, top)
+            middle = [(mpf(0), 1 / _to_mpf(s, -2 * top))]
+        pairs = list(zip(nodes, weights))
+        pairs += middle + [(-x, w) for x, w in reversed(pairs)]
+        nodes, weights = zip(*pairs)
+    rule = (tuple(nodes), tuple(weights))
+    return _RULES.setdefault(key, rule)
 
 
 @dataclass(frozen=True)
@@ -267,6 +307,11 @@ def make_measure(
             raise MeasureError("quadrature produced an invalid node/weight")
         nodes.append(x)
         weights.append(wx)
+    if any(y <= x for x, y in zip(nodes, nodes[1:])):
+        raise MeasureError(
+            f"quadrature nodes not strictly increasing (N={node_count}, "
+            f"alpha={mp.nstr(weight.alpha, 8)}, beta={mp.nstr(weight.beta, 8)})"
+        )
     return IntervalMeasure(
         interval=interval,
         weight=weight,
@@ -278,7 +323,7 @@ def make_measure(
 
 def lebesgue(a, b, node_count: int = 64) -> IntervalMeasure:
     """Lebesgue measure on [a, b] (the workhorse test measure)."""
-    return make_measure(Interval(_to_mpf(a), _to_mpf(b)), WeightSpec(), node_count)
+    return make_measure(Interval(a, b), WeightSpec(), node_count)
 
 
 def moment(mu: IntervalMeasure, k: int) -> mpf:
@@ -295,7 +340,7 @@ def cauchy_transform(mu: IntervalMeasure, z):
     an error by design: no principal values anywhere in the package.
     """
     if isinstance(z, (mpf, int, float, str)) and not isinstance(z, complex):
-        z = _to_mpf(z)
+        z = mpf(z)
         if mu.interval.contains(z):
             raise SupportError(f"z={z} lies on the support [{mu.interval.a}, {mu.interval.b}]")
         return sum(

@@ -23,21 +23,11 @@ from mpmath.libmp import from_man_exp, round_nearest
 
 from .measures import IntervalMeasure, SupportError
 from .poly import Polynomial
+from .precision import _man_exp, _to_mpf
 
 
 class SystemError_(ValueError):
     """Invalid Nikishin system configuration."""
-
-
-def _man_exp(x):
-    """(m, e) with x == m * 2**e exactly, m a signed int."""
-    sign, man, exp, _ = x._mpf_
-    return (-man if sign else man), exp
-
-
-def _to_mpf(man, exp):
-    """man * 2**exp rounded to the working precision."""
-    return mp.make_mpf(from_man_exp(man, exp, mp.prec, round_nearest))
 
 
 def _guard_bits(count, near=None, far=None):
@@ -196,16 +186,17 @@ class NikishinSystem:
     def _kernel(self, j: int, k: int):
         """(rows, F, guard, sign): sign * rows[i][l] ~ 2^F / (t_i - x_l) for
         t over sigma_k's nodes and x over sigma_j's, k = j +- 1.  Built
-        lazily per adjacent pair and precision; the opposite direction is
-        -C^T, the transposed rows of the same ints with the sign flipped."""
+        lazily per adjacent pair and precision, always from the left
+        interval's nodes to the right one's; the opposite direction is -C^T,
+        the transposed rows of the same ints with the sign flipped, so both
+        orientations round alike whichever is asked for first."""
         src, dst = self.measure(j), self.measure(k)
         key = (id(src), id(dst), mp.prec)
         cached = self._kernels.get(key)
         if cached is not None:
             return cached
-        back = self._kernels.get((id(dst), id(src), mp.prec))
-        if back is not None:
-            rows, F, guard, sign = back
+        if dst.interval.a < src.interval.a:
+            rows, F, guard, sign = self._kernel(k, j)
             kernel = (tuple(zip(*rows)), F, guard, -sign)
         else:
             lo_j, hi_j = self._fixed_level(j)[3:]

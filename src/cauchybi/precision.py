@@ -3,7 +3,9 @@
 All heavy numerics run on mpmath's global context.  Precision is a single
 run-wide parameter (bits); mixing precisions inside one run is deliberately
 unsupported because the bimoment systems solved downstream are severely
-ill-conditioned and uniform precision keeps failures diagnosable.
+ill-conditioned and uniform precision keeps failures diagnosable.  The
+fixed-point kernels (quadrature rules, the Cauchy-chain operator) convert
+between mpf and exact (mantissa, exponent) ints with the helpers below.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import contextlib
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp, round_nearest
 
 MIN_PRECISION_BITS = 64
 DEFAULT_PRECISION_BITS = 512
@@ -21,6 +24,17 @@ def set_precision(bits: int) -> None:
     if bits < MIN_PRECISION_BITS:
         raise ValueError(f"precision must be >= {MIN_PRECISION_BITS} bits, got {bits}")
     mp.prec = int(bits)
+
+
+def _man_exp(x):
+    """(m, e) with x == m * 2**e exactly, m a signed int."""
+    sign, man, exp, _ = x._mpf_
+    return (-man if sign else man), exp
+
+
+def _to_mpf(man, exp):
+    """man * 2**exp rounded to the working precision."""
+    return mp.make_mpf(from_man_exp(man, exp, mp.prec, round_nearest))
 
 
 def precision_bits() -> int:

@@ -102,6 +102,22 @@ def test_solve_hp_writes_solutions_and_resumes(tmp_path):
     assert kept.stat().st_mtime_ns == before  # untouched, not recomputed
 
 
+def test_solution_file_without_adapted_coefficients_is_resolved(tmp_path):
+    cfg = write_config(tmp_path, S2_CONFIG)
+    assert main(["solve-hp", "--config", cfg]) == 0
+    out = tmp_path / "out"
+    target = out / "hp_forward_n004.json"
+    doc = json.loads(target.read_text())
+    assert len(doc["c"]) == 4
+    stripped = {k: v for k, v in doc.items() if k != "c"}
+    target.write_text(json.dumps(stripped))
+    others = [p for p in out.glob("hp_*_n*.json") if p != target]
+    before = {p: p.stat().st_mtime_ns for p in others}
+    assert main(["solve-hp", "--config", cfg]) == 0
+    assert json.loads(target.read_text()) == doc  # re-solved, c included
+    assert {p: p.stat().st_mtime_ns for p in others} == before
+
+
 def test_solutions_deterministic_across_runs(tmp_path):
     cfg = write_config(tmp_path, S2_CONFIG)
     assert main(["solve-hp", "--config", cfg]) == 0

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
+from cauchybi import measures
+
 from cauchybi import (
     Interval,
     MeasureError,
@@ -13,8 +15,9 @@ from cauchybi import (
     lebesgue,
     make_measure,
     moment,
+    set_precision,
 )
-from cauchybi.measures import jacobi_moment_exact
+from cauchybi.measures import gauss_jacobi_rule, jacobi_moment_exact
 
 
 def tight():
@@ -113,3 +116,89 @@ def test_cauchy_transform_on_support_rejected():
 def test_mass_positive_any_node_count(n):
     mu = lebesgue(0, 1, node_count=n)
     assert abs(mu.mass - 1) < tight()
+
+
+@pytest.mark.parametrize(
+    "n, A, B",
+    [
+        (64, "0", "0"),
+        (64, "-0.5", "-0.5"),
+        (63, "0.5", "0.5"),
+        (64, "1.5", "0.5"),
+        (64, "3", "-0.9"),
+    ],
+)
+def test_gauss_jacobi_rule_matches_doubled_precision(n, A, B):
+    # the same exponents (parsed once) at twice the bits is the reference
+    A, B = mpf(A), mpf(B)
+    prec = mp.prec
+    nodes, weights = gauss_jacobi_rule(n, A, B)
+    with mp.workprec(2 * prec):
+        ref_nodes, ref_weights = gauss_jacobi_rule(n, A, B)
+    assert len(nodes) == len(weights) == n
+    ulp = mpf(2) ** (1 - prec)
+    for x, xr in zip(nodes, ref_nodes):
+        assert abs(x - xr) <= 4 * ulp * max(1, abs(xr))
+    for w, wr in zip(weights, ref_weights):
+        assert abs(w - wr) <= mpf(2) ** (16 - prec) * wr
+    if A == B:
+        assert all(x == -y for x, y in zip(nodes, reversed(nodes)))
+        if n % 2:
+            assert nodes[n // 2] == 0
+
+
+def test_gauss_jacobi_rule_exact_to_degree_2n_minus_1():
+    n, A = 32, mpf("-0.5")
+    nodes, weights = gauss_jacobi_rule(n, A, A)
+    for k in range(2 * n):
+        quad = mp.fsum(w * x**k for x, w in zip(nodes, weights))
+        # the closed form cancels about k*log10(3) digits; give it room
+        with mp.workprec(2 * mp.prec):
+            exact = jacobi_moment_exact(k, A, A)
+        assert abs(quad - exact) < tight()
+
+
+def test_gauss_jacobi_rule_cached_per_precision():
+    n = 16
+    low = gauss_jacobi_rule(n, 0, 0)
+    assert gauss_jacobi_rule(n, 0, 0) is low
+    set_precision(768)
+    nodes, weights = gauss_jacobi_rule(n, 0, 0)
+    assert nodes != low[0]
+    # Lebesgue moments on [-1, 1] to 768-bit accuracy: 2/(k+1) for even k
+    for k in range(2 * n):
+        quad = mp.fsum(w * x**k for x, w in zip(nodes, weights))
+        exact = mpf(2) / (k + 1) if k % 2 == 0 else 0
+        assert abs(quad - exact) < tight()
+
+
+def _with_seeds(monkeypatch, edit):
+    """Hand the rule builder edited scipy seeds, with an empty rule cache."""
+    roots = measures.roots_jacobi
+
+    def seeded(n, a, b):
+        x, w = roots(n, a, b)
+        x = x.copy()
+        edit(x)
+        return x, w
+
+    monkeypatch.setattr(measures, "roots_jacobi", seeded)
+    monkeypatch.setattr(measures, "_RULES", {})
+
+
+def test_quadrature_unconverged_newton_raises(monkeypatch):
+    def far_seed(x):
+        x[-1] = 1.5
+
+    _with_seeds(monkeypatch, far_seed)
+    with pytest.raises(MeasureError, match=r"N=16, alpha=0\.25, beta=0"):
+        make_measure(Interval(0, 1), WeightSpec(alpha="0.25"), node_count=16)
+
+
+def test_quadrature_seed_on_neighbour_root_raises(monkeypatch):
+    def twin_seed(x):
+        x[-1] = x[-2]
+
+    _with_seeds(monkeypatch, twin_seed)
+    with pytest.raises(MeasureError, match="not strictly increasing"):
+        make_measure(Interval(0, 1), WeightSpec(alpha="0.25"), node_count=16)
