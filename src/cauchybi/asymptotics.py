@@ -210,19 +210,29 @@ def default_probes(intervals, real_count: int = 5, complex_count: int = 4):
     return reals + cplx
 
 
+def _zero_product(sol: HPSolution, j: int, x):
+    """Q_{n,j}(x) = prod (x - zeta) over the zeros of A_{n,j} on Delta_j
+    (Q_{n,0} = Q_{n,m+1} = 1)."""
+    p = mpf(1)
+    if 1 <= j <= sol.m:
+        for t in sol.zeros(j):
+            p *= x - t
+    return p
+
+
 def empirical_K(sol: HPSolution, j: int) -> mpf:
     """Orthonormalizing constant K_{n,j}, j=1..m (K_{n,m+1} = 1):
-    K_{n,j}^{-2} = int |Q_{n,j}(t) A_{n,j}(t) / Q_{n,j-1}(t)| dsigma_j(t)."""
+    K_{n,j}^{-2} = int |Q_{n,j}(t) A_{n,j}(t) / Q_{n,j-1}(t)| dsigma_j(t).
+
+    A_{n,j} at sigma_j's nodes is the solution's chain vector there."""
     if not 1 <= j <= sol.m + 1:
         raise IndexError(f"K index {j} out of 1..{sol.m + 1}")
     if j == sol.m + 1:
         return mpf(1)
-    Qj = sol.Qnj(j)
-    Qjm1 = sol.Qnj(j - 1)
     mu = sol.system.measure(j)
     total = mpf(0)
-    for x, w in zip(mu.nodes, mu.weights):
-        total += w * abs(Qj(x) * sol.eval_form(j, x) / Qjm1(x))
+    for x, w, a in zip(mu.nodes, mu.weights, sol._chain(j)):
+        total += w * abs(_zero_product(sol, j, x) * a / _zero_product(sol, j - 1, x))
     return 1 / mp.sqrt(total)
 
 
@@ -265,25 +275,29 @@ def empirical_tables(solutions, probes, which: str, pred: AsymptoticPredictor):
     sols = _ordered_consecutive(solutions)
     m = sols[0].m
     rows = []
+
+    def consecutive(n_level, z, target, vals):
+        # rows for the ratios of neighbouring degrees' values, with the
+        # n-th root of the lower one as the secondary column
+        for lo, va, vb in zip(sols, vals, vals[1:]):
+            sec = va ** (mpf(1) / lo.n) if lo.n > 0 else None
+            rows.append(_row(lo.n, z, n_level, vb / va, target, sec))
+
     if which == "ratioQ":
         for j in range(1, m + 1):
             for z in probes:
                 target = F_ratio_modulus(pred, j, z)
-                for lo, hi in zip(sols, sols[1:]):
-                    meas = abs(hi.Qnj(j)(z) / lo.Qnj(j)(z))
-                    rows.append(_row(lo.n, z, j, meas, target))
+                vals = [_zero_product(s, j, z) for s in sols]
+                for lo, va, vb in zip(sols, vals, vals[1:]):
+                    rows.append(_row(lo.n, z, j, abs(vb / va), target))
     elif which == "nthroot":
         for j in range(0, m + 1):
             for z in probes:
                 target = nth_root_prediction(pred, j, z)
-                for lo, hi in zip(sols, sols[1:]):
-                    meas = abs(hi.eval_form(j, z) / lo.eval_form(j, z))
-                    sec = (
-                        abs(lo.eval_form(j, z)) ** (mpf(1) / lo.n)
-                        if lo.n > 0
-                        else None
-                    )
-                    rows.append(_row(lo.n, z, j, meas, target, sec))
+                vals = [s.eval_form(j, z) for s in sols]
+                for lo, va, vb in zip(sols, vals, vals[1:]):
+                    sec = abs(va) ** (mpf(1) / lo.n) if lo.n > 0 else None
+                    rows.append(_row(lo.n, z, j, abs(vb / va), target, sec))
     elif which == "rate":
         if m < 2:
             raise ValueError("rate table needs m >= 2")
@@ -291,32 +305,25 @@ def empirical_tables(solutions, probes, which: str, pred: AsymptoticPredictor):
         for z in probes:
             target = rate_prediction(pred, z)
             sm1 = sys.s_hat(m, 1, z)
-            vals = [abs(s.a[0](z) / s.a[m](z) - sm1) for s in sols]
-            for lo, va, vb in zip(sols, vals, vals[1:]):
-                sec = va ** (mpf(1) / lo.n) if lo.n > 0 else None
-                rows.append(_row(lo.n, z, None, vb / va, target, sec))
+            consecutive(
+                None, z, target, [abs(s.a[0](z) / s.a[m](z) - sm1) for s in sols]
+            )
     elif which == "formratio":
+        # every A_{n,j}(z) once, per probe: forms[i][s][j]
+        forms = {}
         for j in range(0, m + 1):
             for k in range(j + 1, m + 1):
-                for z in probes:
+                for i, z in enumerate(probes):
                     target = form_ratio_prediction(pred, j, k, z)
-                    vals = [
-                        abs(s.eval_form(j, z) / s.eval_form(k, z)) for s in sols
-                    ]
-                    for lo, va, vb in zip(sols, vals, vals[1:]):
-                        sec = va ** (mpf(1) / lo.n) if lo.n > 0 else None
-                        rows.append(
-                            _row(lo.n, z, (j, k), vb / va, target, sec)
-                        )
+                    if i not in forms:
+                        forms[i] = [[s.eval_form(l, z) for l in range(m + 1)] for s in sols]
+                    consecutive((j, k), z, target, [abs(A[j] / A[k]) for A in forms[i]])
     elif which == "leading":
+        Ks = [[empirical_K(s, k) for k in range(1, m + 2)] for s in sols]
         for k in range(1, m + 1):
-            target = pred.kappas[k - 1]
-            kappas_n = [
-                empirical_K(s, k) / empirical_K(s, k + 1) for s in sols
-            ]
-            for lo, va, vb in zip(sols, kappas_n, kappas_n[1:]):
-                sec = va ** (mpf(1) / lo.n) if lo.n > 0 else None
-                rows.append(_row(lo.n, None, k, vb / va, target, sec))
+            consecutive(
+                k, None, pred.kappas[k - 1], [K[k - 1] / K[k] for K in Ks]
+            )
     else:
         raise ValueError(f"unknown table kind {which!r}")
     return rows

@@ -3,7 +3,9 @@
 Exit codes: 0 pass, 2 validation error, 3 solver failure, 4 verification
 failure.  All numerics in configs are decimal strings parsed at the target
 precision; outputs are JSON/CSV with atomic writes, and existing per-degree
-solution files are reused unless --force is given.
+solution files are reused unless --force is given.  An output directory's
+`manifest.json` names the config fields its files were solved for; a command
+whose config differs in any of them exits 2 unless --force is given.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -41,6 +44,11 @@ ALL_SUITES = (
 
 class ConfigError(ValueError):
     pass
+
+
+MANIFEST_SCHEMA = 1
+# the files a command resumes from instead of solving
+_RESUMABLE = re.compile(r"hp_(forward|reversed)_n\d+\.json|equilibrium(_reversed)?\.json")
 
 
 @dataclass
@@ -133,6 +141,66 @@ def load_config(path: str) -> RunConfig:
     return cfg
 
 
+def run_manifest(cfg: RunConfig) -> dict:
+    """The config fields that determine the solution and equilibrium files.
+
+    Numbers are printed to the working decimal digits, so spellings of one
+    value agree; outputs, probes and suites are left out, so a directory
+    can be copied and resumed under another config that differs only there.
+    """
+    num = lambda v: mp.nstr(v, mp.dps)
+    return {
+        "schema": MANIFEST_SCHEMA,
+        "intervals": [[num(d["a"]), num(d["b"])] for d in cfg.measures],
+        "weights": [
+            {
+                "alpha": num(d["alpha"]),
+                "beta": num(d["beta"]),
+                "poly_factor": [num(c) for c in d["poly_factor"]],
+            }
+            for d in cfg.measures
+        ],
+        "quad_nodes": cfg.quad_nodes,
+        "precision_bits": cfg.precision_bits,
+        "equilibrium_cells": cfg.eq_cells,
+        "equilibrium_tol": num(cfg.eq_tol),
+    }
+
+
+def _claim_outputs(cfg: RunConfig, force: bool) -> None:
+    """Make the output directory this config's before anything is resumed.
+
+    A directory whose manifest differs from the config's, or that holds
+    resumable files and no manifest, raises ConfigError naming the
+    differing keys; with force its resumable files are removed and the
+    config's manifest written.
+    """
+    os.makedirs(cfg.outputs, exist_ok=True)
+    path = os.path.join(cfg.outputs, "manifest.json")
+    want = run_manifest(cfg)
+    stale = [f for f in os.listdir(cfg.outputs) if _RESUMABLE.fullmatch(f)]
+    problem = None
+    if os.path.exists(path):
+        try:
+            with open(path) as fh:
+                have = json.load(fh)
+        except (OSError, ValueError):
+            have = {}
+        if have == want:
+            return
+        keys = sorted(k for k in want.keys() | have.keys() if have.get(k) != want.get(k))
+        problem = f"was solved for another config (differing keys: {', '.join(keys)})"
+    elif stale:
+        problem = "holds solution files but no manifest.json"
+    if problem and not force:
+        raise ConfigError(
+            f"output directory {cfg.outputs} {problem}; rerun with --force to recompute"
+        )
+    for name in stale:
+        os.remove(os.path.join(cfg.outputs, name))
+    atomic_write(path, json.dumps(want, indent=1))
+
+
 def atomic_write(path: str, text: str) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
@@ -147,7 +215,6 @@ def _solution_path(outdir: str, kind: str, n: int) -> str:
 def _get_solutions(cfg: RunConfig, sys_obj, kind: str, force: bool, jobs: int):
     """Solutions n = 0..n_max for one orientation, reusing saved files."""
     outdir = cfg.outputs
-    os.makedirs(outdir, exist_ok=True)
 
     def one(n):
         path = _solution_path(outdir, kind, n)
@@ -176,6 +243,7 @@ def cmd_solve_hp(cfg: RunConfig, force: bool = False, jobs: int = 1) -> int:
     except (MeasureError, SystemError_) as ex:
         print(f"validation error: {ex}", file=sys.stderr)
         return EXIT_VALIDATION
+    _claim_outputs(cfg, force)
     try:
         fwd = _get_solutions(cfg, fwd_sys, "forward", force, jobs)
         rev = _get_solutions(cfg, rev_sys, "reversed", force, jobs)
@@ -211,7 +279,7 @@ def _solve_eq(cfg: RunConfig, reverse: bool = False):
 
 
 def cmd_solve_equilibrium(cfg: RunConfig, force: bool = False) -> int:
-    os.makedirs(cfg.outputs, exist_ok=True)
+    _claim_outputs(cfg, force)
     path = os.path.join(cfg.outputs, "equilibrium.json")
     try:
         if force or not os.path.exists(path):
@@ -237,7 +305,6 @@ def _load_or_solve_eq(cfg: RunConfig):
         with open(path) as fh:
             return equilibrium.solution_from_json(json.load(fh))
     sol = _solve_eq(cfg)
-    os.makedirs(cfg.outputs, exist_ok=True)
     atomic_write(path, json.dumps(equilibrium.solution_to_json(sol), indent=1))
     return sol
 
@@ -269,12 +336,17 @@ def run_suites(cfg: RunConfig, suites, force: bool = False, jobs: int = 1):
     )
     reports = []
     half_tol = tol()
-    # one predictor for both estimator suites, so they share its potentials
-    pred = (
-        asymptotics.make_predictor(_load_or_solve_eq(cfg))
-        if "ratio-asymptotics" in suites or ("rate" in suites and m >= 2)
+    estimators = "ratio-asymptotics" in suites or ("rate" in suites and m >= 2)
+    eq = (
+        _load_or_solve_eq(cfg)
+        if estimators
+        or any(s in suites for s in ("weak-asymptotics", "reversal-symmetry"))
         else None
     )
+    # one predictor for both estimator suites, so they share its potentials
+    pred = asymptotics.make_predictor(eq) if estimators else None
+    # the estimator suites check only n = n_max - 1, the last pair's rows
+    last_pair = fwd[-2:]
 
     if "zero-location" in suites:
         gap_floor = mpf(10) ** (-mp.dps // 4)
@@ -320,7 +392,6 @@ def run_suites(cfg: RunConfig, suites, force: bool = False, jobs: int = 1):
         reports.append(_suite_report("form-identity", gaps, half_tol))
 
     if "weak-asymptotics" in suites:
-        eq = _load_or_solve_eq(cfg)
         checkpoints = sorted(
             {max(1, cfg.n_max // 4), cfg.n_max // 2, 3 * cfg.n_max // 4, cfg.n_max}
         )
@@ -343,7 +414,7 @@ def run_suites(cfg: RunConfig, suites, force: bool = False, jobs: int = 1):
         reports.append(_suite_report("weak-asymptotics", gaps, threshold))
 
     if "ratio-asymptotics" in suites:
-        rows = asymptotics.empirical_tables(fwd, cfg.probes, "ratioQ", pred)
+        rows = asymptotics.empirical_tables(last_pair, cfg.probes, "ratioQ", pred)
         gaps = [r["rel_gap"] for r in rows if r["n"] == cfg.n_max - 1]
         reports.append(_suite_report("ratio-asymptotics", gaps, mpf("0.02")))
 
@@ -361,16 +432,15 @@ def run_suites(cfg: RunConfig, suites, force: bool = False, jobs: int = 1):
                 }
             )
         else:
-            rows = asymptotics.empirical_tables(fwd, cfg.probes, "rate", pred)
+            rows = asymptotics.empirical_tables(last_pair, cfg.probes, "rate", pred)
             gaps = [r["rel_gap"] for r in rows if r["n"] == cfg.n_max - 1]
             reports.append(_suite_report("rate", gaps, mpf("0.05")))
 
     if "reversal-symmetry" in suites:
-        eqf = _load_or_solve_eq(cfg)
         eqr = _solve_eq(cfg, reverse=True)
         gaps = [
             polyzeros.moment_distance(a, b, 12)
-            for a, b in zip(eqf.lambdas, tuple(reversed(eqr.lambdas)))
+            for a, b in zip(eq.lambdas, tuple(reversed(eqr.lambdas)))
         ]
         reports.append(
             _suite_report("reversal-symmetry", gaps, 10 * cfg.eq_tol)
@@ -385,12 +455,12 @@ def cmd_verify(cfg: RunConfig, suites, force: bool = False, jobs: int = 1) -> in
         if s not in ALL_SUITES:
             print(f"validation error: unknown suite {s!r}", file=sys.stderr)
             return EXIT_VALIDATION
+    _claim_outputs(cfg, force)
     try:
         reports = run_suites(cfg, suites, force=force, jobs=jobs)
     except (hp.HPSolverError, polyzeros.RootCountError, equilibrium.EquilibriumError) as ex:
         print(f"solver failure: {ex}", file=sys.stderr)
         return EXIT_SOLVER
-    os.makedirs(cfg.outputs, exist_ok=True)
     atomic_write(
         os.path.join(cfg.outputs, "verify_report.json"),
         json.dumps(reports, indent=1),
@@ -414,6 +484,7 @@ def cmd_tables(cfg: RunConfig, which: str, force: bool = False, jobs: int = 1) -
     if which == "rate" and sys_obj.m < 2:
         print("validation error: rate table needs m >= 2", file=sys.stderr)
         return EXIT_VALIDATION
+    _claim_outputs(cfg, force)
     try:
         sols = _get_solutions(cfg, sys_obj, "forward", force, jobs)
         eq = _load_or_solve_eq(cfg)
@@ -422,7 +493,6 @@ def cmd_tables(cfg: RunConfig, which: str, force: bool = False, jobs: int = 1) -
     except (hp.HPSolverError, polyzeros.RootCountError, equilibrium.EquilibriumError) as ex:
         print(f"solver failure: {ex}", file=sys.stderr)
         return EXIT_SOLVER
-    os.makedirs(cfg.outputs, exist_ok=True)
     atomic_write(
         os.path.join(cfg.outputs, f"table_{which}.csv"),
         asymptotics.table_to_csv(rows),
@@ -480,7 +550,7 @@ def main(argv=None) -> int:
             return cmd_verify(cfg, args.suite, force=args.force, jobs=args.jobs)
         if args.command == "tables":
             return cmd_tables(cfg, args.which, force=args.force, jobs=args.jobs)
-    except (MeasureError, SystemError_) as ex:
+    except (ConfigError, MeasureError, SystemError_) as ex:
         print(f"validation error: {ex}", file=sys.stderr)
         return EXIT_VALIDATION
     return EXIT_VALIDATION

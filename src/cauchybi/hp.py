@@ -204,12 +204,6 @@ class HPSolution:
             self._zeros.setdefault(j, roots)
         return self._zeros[j]
 
-    def Qnj(self, j: int) -> Polynomial:
-        """Monic polynomial with the zeros of A_{n,j} (Q_{n,0} = Q_{n,m+1} = 1)."""
-        if j == 0 or j == self.m + 1:
-            return Polynomial.one()
-        return Polynomial.from_roots(self.zeros(j))
-
 
 def _order_residuals(sys: NikishinSystem, u, ua, n: int):
     """Laurent coefficients of the top form at z^-1..z^-(n+1).

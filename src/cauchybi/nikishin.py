@@ -85,6 +85,7 @@ class NikishinSystem:
         self.measures = measures
         self.m = len(measures)
         self._inner_cache = {}
+        self._shat_cache = {}
         self._chain_cache = {}
         self._bimoments = {}
         self._smoment_cache = {}
@@ -315,7 +316,8 @@ class NikishinSystem:
 
         s_hat_{j,j} is sigma_j's plain transform; otherwise the one-level
         recursion integrates the cached inner transform against sigma_j.
-        z must lie off the support interval of sigma_j.
+        z must lie off the support interval of sigma_j.  Memoized by
+        (j, k, z, precision).
         """
         self._check_chain(j, k)
         mu = self.measure(j)
@@ -328,11 +330,16 @@ class NikishinSystem:
                 raise SupportError(
                     f"z={z} lies on the support of sigma_{j}"
                 )
+        key = (j, k, z, mp.prec)
+        cached = self._shat_cache.get(key)
+        if cached is not None:
+            return cached
         inner = self.inner_values(j, k)
         acc = mpc(0) if complex_z else mpf(0)
         for x, w, g in zip(mu.nodes, mu.weights, inner):
             acc += w * g / (z - x)
-        return acc
+        with self._lock:
+            return self._shat_cache.setdefault(key, acc)
 
     def s_mass(self, j: int, k: int):
         """Total mass of s_{j,k} (z * s_hat -> mass as z -> infinity)."""

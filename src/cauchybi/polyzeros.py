@@ -8,7 +8,8 @@ fallback at doubled precision covers pathological brackets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import mul
 
 from mpmath import mp, mpf, mpc
 
@@ -112,6 +113,8 @@ class DiscreteMeasure:
     points: tuple
     weights: tuple
     cell_edges: tuple | None = None
+    # density jumps by precision: every potential and moment pass uses them
+    _jumps: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         pts = tuple(mpf(p) for p in self.points)
@@ -148,18 +151,37 @@ class DiscreteMeasure:
             return self.cell_edges[0], self.cell_edges[-1]
         return self.points[0], self.points[-1]
 
+    def _density_jumps(self):
+        """Jumps of the cell density at the cell edges, d_i - d_{i-1} with
+        d_l = w_l / h_l on cell l and d = 0 outside the support."""
+        jumps = self._jumps.get(mp.prec)
+        if jumps is None:
+            e, d = self.cell_edges, [mpf(0)]
+            d += [w / (b - a) for w, a, b in zip(self.weights, e, e[1:])]
+            d.append(mpf(0))
+            jumps = self._jumps.setdefault(mp.prec, [b - a for a, b in zip(d, d[1:])])
+        return jumps
+
+    def moments(self, K: int):
+        """Moments 0..K in one pass of running powers.  For the
+        piecewise-constant case each is exact: summed by parts over the cell
+        edges, m_k = -sum_i J_i e_i^(k+1) / (k+1) with J the density jumps."""
+        cells = self.cell_edges is not None
+        if cells:
+            pts, coef, powers = self.cell_edges, self._density_jumps(), list(self.cell_edges)
+        else:
+            pts, coef, powers = self.points, self.weights, [mpf(1)] * len(self.points)
+        out = []
+        for k in range(K + 1):
+            if k:
+                powers = [p * t for p, t in zip(powers, pts)]
+            total = sum(map(mul, coef, powers), mpf(0))
+            out.append(-total / (k + 1) if cells else total)
+        return out
+
     def moment(self, k: int) -> mpf:
-        """k-th moment; exact per cell for the piecewise-constant case."""
-        if self.cell_edges is None:
-            return sum(
-                (w * t**k for t, w in zip(self.points, self.weights)), mpf(0)
-            )
-        e = self.cell_edges
-        total = mpf(0)
-        for l, w in enumerate(self.weights):
-            h = e[l + 1] - e[l]
-            total += w / h * (e[l + 1] ** (k + 1) - e[l] ** (k + 1)) / (k + 1)
-        return total
+        """k-th moment (see `moments`)."""
+        return self.moments(k)[k]
 
 
 def counting_measure(zeros) -> DiscreteMeasure:
@@ -182,40 +204,35 @@ def interlaces(za, zb) -> bool:
     return all(zb[i] < za[i] < zb[i + 1] for i in range(len(za)))
 
 
-def _log_cell_integral(a, b, z):
-    """Exact integral of log|z - t| over [a, b] (unit density).
-
-    Antiderivative of log|z - t| in t is -(z-t)(log|z-t| - 1); the closed
-    form stays valid for z inside [a, b] (integrable singularity).
-    """
-
-    def g(u):
-        if u == 0:
-            return mpf(0)
-        if isinstance(u, mpc):
-            return (-u * (mp.log(u) - 1)).real
-        return -u * (mp.log(abs(u)) - 1)
-
-    return g(z - b) - g(z - a)
+def _log_antiderivative(u):
+    """g(u) = -u (log|u| - 1), so that g(z - t) is an antiderivative of
+    log|z - t| in t (real part for complex u); g(0) = 0 at the integrable
+    singularity, so the closed form holds for z on the support too."""
+    if u == 0:
+        return mpf(0)
+    if isinstance(u, mpc):
+        return (-u * (mp.log(u) - 1)).real
+    return -u * (mp.log(abs(u)) - 1)
 
 
 def log_potential(mu: DiscreteMeasure, z):
     """V^mu(z) = integral of log(1/|z-t|) dmu(t).
 
     Discrete atoms: direct sum (z must avoid the atoms).  Cell densities:
-    exact closed-form integral per cell, valid on the support too.
+    the exact closed-form integral, summed by parts over the cell edges,
+    V = sum_i J_i g(z - e_i) with J the density jumps (one log per edge);
+    valid on the support too.
     """
     if isinstance(z, (mpc, complex)) and mpc(z).imag != 0:
         z = mpc(z)
     else:
         z = mpc(z).real if isinstance(z, (mpc, complex)) else mpf(z)
     if mu.cell_edges is not None:
-        e = mu.cell_edges
-        total = mpf(0)
-        for l, w in enumerate(mu.weights):
-            h = e[l + 1] - e[l]
-            total -= w / h * _log_cell_integral(e[l], e[l + 1], z)
-        return total
+        return sum(
+            (J * _log_antiderivative(z - e)
+             for J, e in zip(mu._density_jumps(), mu.cell_edges)),
+            mpf(0),
+        )
     total = mpf(0)
     for t, w in zip(mu.points, mu.weights):
         d = abs(z - t)
@@ -251,4 +268,4 @@ def moment_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, K: int) -> mpf:
         )
 
     ru, rv = rescaled(mu), rescaled(nu)
-    return max(abs(ru.moment(k) - rv.moment(k)) for k in range(K + 1))
+    return max(abs(a - b) for a, b in zip(ru.moments(K), rv.moments(K)))

@@ -5,6 +5,7 @@ from mpmath import mp, mpf, mpc
 
 from cauchybi import (
     F_ratio_modulus,
+    Polynomial,
     consecutive_form_ratio_prediction,
     default_probes,
     empirical_tables,
@@ -16,6 +17,7 @@ from cauchybi import (
 )
 from cauchybi.asymptotics import DomainError, empirical_K, table_to_csv, table_to_json
 from cauchybi.measures import Interval
+from helpers import Qnj
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +123,43 @@ def test_empirical_K_positive_decreasing(s2_solutions):
     assert empirical_K(sol, sol.m + 1) == 1
     for j in (1, 2):
         assert empirical_K(sol, j) > 0
+
+
+def test_empirical_K_from_chains_matches_node_route(s2_solutions):
+    # K_{n,j} reads A_{n,j} at sigma_j's nodes from the solution's chain;
+    # the node route evaluates the form at every node.  The two round
+    # differently, each by far less than 2^-(prec-16) of the absolute mass
+    # of its evaluation (the absolute-value chain below level m, Horner's
+    # absolute sum on level m); a misread level or node order would not be.
+    for n in (1, 6, 14):
+        sol = s2_solutions[n]
+        for j in range(1, sol.m + 1):
+            mu = sol.system.measure(j)
+            Qj, Qjm1 = Qnj(sol, j), Qnj(sol, j - 1)
+            if j < sol.m:
+                (mass,) = sol.system.push(j + 1, j, [sol._chain(j + 1)], absolute=True)
+            else:
+                absQ = Polynomial(tuple(abs(c) for c in sol.Q.coeffs))
+                mass = [absQ(abs(x)) for x in mu.nodes]
+            node_route = bound = mpf(0)
+            for x, w, s in zip(mu.nodes, mu.weights, mass):
+                node_route += w * abs(Qj(x) * sol.eval_form(j, x) / Qjm1(x))
+                bound += w * abs(Qj(x) / Qjm1(x)) * s
+            gap = abs(empirical_K(sol, j) ** -2 - node_route)
+            assert gap <= mpf(2) ** -(mp.prec - 16) * bound
+
+
+@pytest.mark.parametrize("which", ["ratioQ", "rate"])
+def test_suite_rows_from_last_pair_match_full_family(s2_solutions, pred_s2, which):
+    # the ratio-asymptotics and rate suites keep only n = n_max - 1, so they
+    # read the last two degrees; those rows must not depend on the rest
+    sols = [s2_solutions[n] for n in range(9)]
+    probes = [mpf(-2), mpf("4.5"), mpc("1.5", "1.5")]
+    full = [r for r in empirical_tables(sols, probes, which, pred_s2) if r["n"] == 7]
+    last = empirical_tables(sols[-2:], probes, which, pred_s2)
+    assert last and len(full) == len(last)
+    for a, b in zip(full, last):
+        assert a["rel_gap"] == b["rel_gap"] and a["measured"] == b["measured"]
 
 
 def test_nonconsecutive_solutions_rejected(s2_solutions, pred_s2):

@@ -2,10 +2,11 @@
 
 import json
 import os
+import shutil
 
 import pytest
 
-from cauchybi.cli import main
+from cauchybi.cli import load_config, main, run_manifest
 
 S2_CONFIG = {
     "system": [
@@ -183,3 +184,89 @@ def test_parallel_jobs_match_serial(tmp_path):
     assert main(["solve-hp", "--config", cfg, "--force"]) == 0
     ser = json.loads((tmp_path / "out" / "hp_forward_n004.json").read_text())
     assert par["a"] == ser["a"]
+
+
+# -- the run manifest ---------------------------------------------------
+
+def _changed(key):
+    doc = json.loads(json.dumps(S2_CONFIG))
+    if key == "intervals":
+        doc["system"][1]["interval"] = ["1.5", "3"]
+    elif key == "weights":
+        doc["system"][0]["alpha"] = "-0.5"
+    elif key == "quad_nodes":
+        doc["quad_nodes"] = 32
+    elif key == "precision_bits":
+        doc["precision_bits"] = 256
+    elif key == "equilibrium_cells":
+        doc["equilibrium"]["cells"] = 64
+    elif key == "equilibrium_tol":
+        doc["equilibrium"]["tol"] = "1e-9"
+    return doc
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        "intervals",
+        "weights",
+        "quad_nodes",
+        "precision_bits",
+        "equilibrium_cells",
+        "equilibrium_tol",
+        "schema",
+    ],
+)
+def test_manifest_mismatch_is_validation_error(tmp_path, capsys, key):
+    out = tmp_path / "out"
+    assert main(["solve-eq", "--config", write_config(tmp_path, S2_CONFIG)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    if key == "schema":
+        manifest["schema"] = 0  # written by another version of the files
+        (out / "manifest.json").write_text(json.dumps(manifest))
+    eq_before = (out / "equilibrium.json").stat().st_mtime_ns
+    capsys.readouterr()
+    cfg = write_config(tmp_path, _changed(key), name="changed.json")
+    assert main(["solve-hp", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"(differing keys: {key})" in err and "--force" in err
+    # nothing was resumed, solved or rewritten
+    assert not list(out.glob("hp_*"))
+    assert (out / "equilibrium.json").stat().st_mtime_ns == eq_before
+
+
+def test_manifest_mismatch_with_force_recomputes(tmp_path):
+    out = tmp_path / "out"
+    assert main(["solve-eq", "--config", write_config(tmp_path, S2_CONFIG)]) == 0
+    (out / "hp_forward_n009.json").write_text("{}")  # left by the old config
+    doc = _changed("equilibrium_tol")
+    cfg = write_config(tmp_path, doc, name="changed.json")
+    assert main(["verify", "--config", cfg, "--suite", "zero-location"]) == 2
+    assert main(["solve-eq", "--config", cfg, "--force"]) == 0
+    assert json.loads((out / "manifest.json").read_text()) == run_manifest(load_config(cfg))
+    assert not (out / "hp_forward_n009.json").exists()
+    assert main(["verify", "--config", cfg, "--suite", "zero-location"]) == 0
+
+
+def test_solution_files_without_manifest_are_not_resumed(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, M1_CONFIG)
+    assert main(["solve-eq", "--config", cfg]) == 0
+    (out / "manifest.json").unlink()
+    capsys.readouterr()
+    assert main(["tables", "--config", cfg, "--which", "ratioQ"]) == 2
+    assert "no manifest.json" in capsys.readouterr().err
+
+
+def test_copied_directory_resumes_under_other_outputs_and_probes(tmp_path):
+    assert main(["solve-hp", "--config", write_config(tmp_path, M1_CONFIG)]) == 0
+    copy = tmp_path / "copy"
+    shutil.copytree(tmp_path / "out", copy)
+    doc = dict(M1_CONFIG, outputs=str(copy), probes=["3", "-2.5"], suites=["interlacing"])
+    cfg = tmp_path / "copy.json"
+    cfg.write_text(json.dumps(doc))
+    files = sorted(copy.glob("hp_*_n*.json"))
+    before = {p: p.stat().st_mtime_ns for p in files}
+    assert main(["solve-hp", "--config", str(cfg)]) == 0
+    assert {p: p.stat().st_mtime_ns for p in files} == before  # resumed
+    assert main(["verify", "--config", str(cfg)]) == 0

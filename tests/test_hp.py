@@ -17,6 +17,7 @@ from cauchybi import (
     zeros_of_form,
 )
 from cauchybi.hp import solution_from_json, solution_to_json
+from helpers import Qnj
 
 
 def test_Q0_is_one(s2_system):
@@ -178,7 +179,7 @@ def test_int1_consistency(s2_solutions):
     z = mpf(-4)
     for j in (0, 1):
         mu = sys.measure(j + 1)
-        Qj = sol.Qnj(j)
+        Qj = Qnj(sol, j)
         lhs = sol.eval_form(j, z) / Qj(z) if j > 0 else sol.eval_form(j, z)
         rhs = mpf(0)
         for x, w in zip(mu.nodes, mu.weights):
@@ -193,13 +194,13 @@ def test_varying_measure_sign_constancy(s2_solutions):
     sol = s2_solutions[6]
     sys = sol.system
     j = 0
-    Q1, Q2 = sol.Qnj(1), sol.Qnj(2)
+    Q1, Q2 = Qnj(sol, 1), Qnj(sol, 2)
     signs = set()
     iv = sys.interval(1)
     for i in range(1, 40):
         x = iv.a + iv.length * mpf(i) / 40
         h = Q2(x) * sol.eval_form(1, x) / Q1(x)
-        v = h / (sol.Qnj(0)(x) * Q2(x))
+        v = h / (Qnj(sol, 0)(x) * Q2(x))
         signs.add(v > 0)
     assert len(signs) == 1
 

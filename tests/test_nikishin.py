@@ -103,6 +103,20 @@ def test_s_hat_complex_probe(s2):
     assert isinstance(v, mpc) and v.imag != 0
 
 
+def test_s_hat_memoized_per_point_and_precision(s2):
+    z = mpc("-1.5", "0.5")
+    v = s2.s_hat(2, 1, z)
+    assert s2.s_hat(2, 1, z) is v
+    with mp.workprec(2 * mp.prec):
+        w = s2.s_hat(2, 1, z)  # a precision of its own
+        assert w is not v and s2.s_hat(2, 1, z) is w
+    assert abs(w - v) <= mpf(2) ** -(mp.prec - 8) * abs(v)
+    from cauchybi.measures import SupportError
+
+    with pytest.raises(SupportError):
+        s2.s_hat(2, 1, mpf("2.5"))  # the support check runs before the memo
+
+
 def test_s_mass_matches_moment_zero(s2):
     assert abs(s2.s_mass(1, 1) - 1) < quad_tol()
     assert abs(s2.s_mass(1, 2) - s2.s_moments(1, 2, 1)[0]) == 0

@@ -91,6 +91,17 @@ def test_cell_measure_moments_exact():
     mu = DiscreteMeasure((mpf("0.5"),), (mpf(1),), cell_edges=(mpf(0), mpf(1)))
     for k in range(5):
         assert abs(mu.moment(k) - mpf(1) / (k + 1)) < mpf(10) ** (-100)
+    # and in unequal cells, where the sum by parts over the edges cancels
+    edges = (mpf(0), mpf("0.1"), mpf("0.35"), mpf("0.4"), mpf("0.8"), mpf(1))
+    cells = tuple(zip(edges, edges[1:]))
+    mu = DiscreteMeasure(
+        tuple((a + b) / 2 for a, b in cells), tuple(b - a for a, b in cells), edges
+    )
+    moments = mu.moments(20)
+    assert len(moments) == 21
+    for k, m_k in enumerate(moments):
+        assert abs(m_k - mpf(1) / (k + 1)) <= mpf(2) ** -(mp.prec - 8)
+        assert mu.moment(k) == m_k
 
 
 def test_log_potential_atoms():
@@ -117,6 +128,60 @@ def test_log_potential_cells_finite_on_support():
     assert mp.isfinite(v)
     # V(0) of uniform on [-1,1] is 1 (integral of -log|t|/2 over [-1,1])
     assert abs(v - 1) < mpf(10) ** (-100)
+
+
+def _arcsine_cells(a, b, count):
+    """Chebyshev-spaced cells on [a, b] with arcsine masses: a density that
+    jumps at every edge and blows up towards both ends."""
+    edges = [a + (b - a) * (1 - mp.cospi(mpf(i) / count)) / 2 for i in range(count + 1)]
+    masses = [
+        (mp.asin(2 * (y - a) / (b - a) - 1) - mp.asin(2 * (x - a) / (b - a) - 1)) / mp.pi
+        for x, y in zip(edges, edges[1:])
+    ]
+    return DiscreteMeasure(
+        tuple((x + y) / 2 for x, y in zip(edges, edges[1:])), tuple(masses), tuple(edges)
+    )
+
+
+def _per_cell_potential(mu, z):
+    """V^mu(z) cell by cell: the closed form at both edges of every cell."""
+
+    def g(u):
+        if u == 0:
+            return mpf(0)
+        if isinstance(u, mpc):
+            return (-u * (mp.log(u) - 1)).real
+        return -u * (mp.log(abs(u)) - 1)
+
+    e = mu.cell_edges
+    return -sum(
+        (w / (b - a) * (g(z - b) - g(z - a)) for w, a, b in zip(mu.weights, e, e[1:])),
+        mpf(0),
+    )
+
+
+@pytest.mark.parametrize(
+    "z", [mpf(5), mpc("2.5", "0.75"), mpf("2.37"), mpf(2)], ids=["real", "complex", "inside", "endpoint"]
+)
+def test_log_potential_by_edges_matches_per_cell_form(z):
+    # summed by parts over the edges, against the per-cell sum at doubled
+    # precision; on the support the probe lies inside a cell or on an edge
+    mu = _arcsine_cells(mpf(2), mpf(3), 64)
+    v = log_potential(mu, z)
+    with mp.workprec(2 * mp.prec):
+        exact = _per_cell_potential(mu, z)
+    assert abs(v - exact) <= mpf(2) ** -(mp.prec - 16) * max(1, abs(exact))
+
+
+def test_atom_moments_match_per_atom_sums():
+    points = [mpf(-1) / 3, mpf("0.2"), mpf("0.7"), mpf(2)]
+    weights = [mpf(1) / 7, mpf(2) / 7, mpf(3) / 7, mpf(1) / 7]
+    mu = DiscreteMeasure(tuple(points), tuple(weights))
+    for k, m_k in enumerate(mu.moments(12)):
+        with mp.workprec(2 * mp.prec):
+            exact = sum((w * t**k for t, w in zip(points, weights)), mpf(0))
+        scale = sum((w * abs(t) ** k for t, w in zip(points, weights)), mpf(0))
+        assert abs(m_k - exact) <= mpf(2) ** -(mp.prec - 8) * scale
 
 
 def test_moment_distance_rescales_to_unit_interval():
