@@ -15,7 +15,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from mpmath import mp, mpf, mpmathify
@@ -172,8 +171,8 @@ def _claim_outputs(cfg: RunConfig, force: bool) -> None:
 
     A directory whose manifest differs from the config's, or that holds
     resumable files and no manifest, raises ConfigError naming the
-    differing keys; with force its resumable files are removed and the
-    config's manifest written.
+    differing keys.  With force the resumable files are removed, whether
+    or not the manifest matched, and the config's manifest written.
     """
     os.makedirs(cfg.outputs, exist_ok=True)
     path = os.path.join(cfg.outputs, "manifest.json")
@@ -187,9 +186,11 @@ def _claim_outputs(cfg: RunConfig, force: bool) -> None:
         except (OSError, ValueError):
             have = {}
         if have == want:
-            return
-        keys = sorted(k for k in want.keys() | have.keys() if have.get(k) != want.get(k))
-        problem = f"was solved for another config (differing keys: {', '.join(keys)})"
+            if not force:
+                return
+        else:
+            keys = sorted(k for k in want.keys() | have.keys() if have.get(k) != want.get(k))
+            problem = f"was solved for another config (differing keys: {', '.join(keys)})"
     elif stale:
         problem = "holds solution files but no manifest.json"
     if problem and not force:
@@ -212,12 +213,11 @@ def _solution_path(outdir: str, kind: str, n: int) -> str:
     return os.path.join(outdir, f"hp_{kind}_n{n:03d}.json")
 
 
-def _get_solutions(cfg: RunConfig, sys_obj, kind: str, force: bool, jobs: int):
+def _get_solutions(cfg: RunConfig, sys_obj, kind: str, force: bool):
     """Solutions n = 0..n_max for one orientation, reusing saved files."""
-    outdir = cfg.outputs
 
     def one(n):
-        path = _solution_path(outdir, kind, n)
+        path = _solution_path(cfg.outputs, kind, n)
         if not force and os.path.exists(path):
             with open(path) as fh:
                 doc = json.load(fh)
@@ -229,14 +229,10 @@ def _get_solutions(cfg: RunConfig, sys_obj, kind: str, force: bool, jobs: int):
         atomic_write(path, json.dumps(hp.solution_to_json(sol), indent=1))
         return sol
 
-    ns = range(cfg.n_max + 1)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, ns))
-    return [one(n) for n in ns]
+    return [one(n) for n in range(cfg.n_max + 1)]
 
 
-def cmd_solve_hp(cfg: RunConfig, force: bool = False, jobs: int = 1) -> int:
+def cmd_solve_hp(cfg: RunConfig, force: bool = False) -> int:
     try:
         fwd_sys = cfg.build_system()
         rev_sys = fwd_sys.reversed()
@@ -245,8 +241,8 @@ def cmd_solve_hp(cfg: RunConfig, force: bool = False, jobs: int = 1) -> int:
         return EXIT_VALIDATION
     _claim_outputs(cfg, force)
     try:
-        fwd = _get_solutions(cfg, fwd_sys, "forward", force, jobs)
-        rev = _get_solutions(cfg, rev_sys, "reversed", force, jobs)
+        fwd = _get_solutions(cfg, fwd_sys, "forward", force)
+        rev = _get_solutions(cfg, rev_sys, "reversed", force)
     except (hp.HPSolverError, polyzeros.RootCountError) as ex:
         print(f"solver failure: {ex}", file=sys.stderr)
         return EXIT_SOLVER
@@ -322,15 +318,15 @@ def _suite_report(name, gaps, threshold):
     }
 
 
-def run_suites(cfg: RunConfig, suites, force: bool = False, jobs: int = 1):
+def run_suites(cfg: RunConfig, suites, force: bool = False):
     sys_obj = cfg.build_system()
     m = sys_obj.m
-    fwd = _get_solutions(cfg, sys_obj, "forward", force, jobs)
+    fwd = _get_solutions(cfg, sys_obj, "forward", force)
     need_rev = any(
         s in suites for s in ("biorthogonality", "weak-asymptotics")
     )
     rev = (
-        _get_solutions(cfg, sys_obj.reversed(), "reversed", force, jobs)
+        _get_solutions(cfg, sys_obj.reversed(), "reversed", force)
         if need_rev
         else None
     )
@@ -449,7 +445,7 @@ def run_suites(cfg: RunConfig, suites, force: bool = False, jobs: int = 1):
     return reports
 
 
-def cmd_verify(cfg: RunConfig, suites, force: bool = False, jobs: int = 1) -> int:
+def cmd_verify(cfg: RunConfig, suites, force: bool = False) -> int:
     suites = list(suites) if suites else (cfg.suites or list(ALL_SUITES))
     for s in suites:
         if s not in ALL_SUITES:
@@ -457,7 +453,7 @@ def cmd_verify(cfg: RunConfig, suites, force: bool = False, jobs: int = 1) -> in
             return EXIT_VALIDATION
     _claim_outputs(cfg, force)
     try:
-        reports = run_suites(cfg, suites, force=force, jobs=jobs)
+        reports = run_suites(cfg, suites, force=force)
     except (hp.HPSolverError, polyzeros.RootCountError, equilibrium.EquilibriumError) as ex:
         print(f"solver failure: {ex}", file=sys.stderr)
         return EXIT_SOLVER
@@ -476,7 +472,7 @@ def cmd_verify(cfg: RunConfig, suites, force: bool = False, jobs: int = 1) -> in
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def cmd_tables(cfg: RunConfig, which: str, force: bool = False, jobs: int = 1) -> int:
+def cmd_tables(cfg: RunConfig, which: str, force: bool = False) -> int:
     if which not in ("ratioQ", "nthroot", "rate", "formratio", "leading"):
         print(f"validation error: unknown table {which!r}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -486,7 +482,7 @@ def cmd_tables(cfg: RunConfig, which: str, force: bool = False, jobs: int = 1) -
         return EXIT_VALIDATION
     _claim_outputs(cfg, force)
     try:
-        sols = _get_solutions(cfg, sys_obj, "forward", force, jobs)
+        sols = _get_solutions(cfg, sys_obj, "forward", force)
         eq = _load_or_solve_eq(cfg)
         pred = asymptotics.make_predictor(eq)
         rows = asymptotics.empirical_tables(sols, cfg.probes, which, pred)
@@ -526,7 +522,8 @@ def main(argv=None) -> int:
     for name in ("solve-hp", "solve-eq", "verify", "tables"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-        p.add_argument("--jobs", type=int, default=1)
+        # parse-only: the benchmark worker passes --jobs 1; other values fail
+        p.add_argument("--jobs", type=int, choices=(1,), default=1, help=argparse.SUPPRESS)
         p.add_argument("--force", action="store_true")
         p.add_argument("--out", default=None)
         if name == "verify":
@@ -543,13 +540,13 @@ def main(argv=None) -> int:
         cfg.outputs = args.out
     try:
         if args.command == "solve-hp":
-            return cmd_solve_hp(cfg, force=args.force, jobs=args.jobs)
+            return cmd_solve_hp(cfg, force=args.force)
         if args.command == "solve-eq":
             return cmd_solve_equilibrium(cfg, force=args.force)
         if args.command == "verify":
-            return cmd_verify(cfg, args.suite, force=args.force, jobs=args.jobs)
+            return cmd_verify(cfg, args.suite, force=args.force)
         if args.command == "tables":
-            return cmd_tables(cfg, args.which, force=args.force, jobs=args.jobs)
+            return cmd_tables(cfg, args.which, force=args.force)
     except (ConfigError, MeasureError, SystemError_) as ex:
         print(f"validation error: {ex}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -1,8 +1,8 @@
 """Multi-level Hermite-Pade solver for a Nikishin chain.
 
-For each degree n the biorthogonal polynomial Q_n comes from the n x n
-bimoment system (the only ill-conditioned step); the remaining polynomials
-a_{n,j} of the vector are recovered descending j = m-1..0 by exact
+Q_n's coefficients c in the mapped Legendre basis of Delta_m are read from
+the Gram factor that every degree and both twins share (`solve`); the other
+polynomials a_{n,j} of the vector are recovered descending j = m-1..0 by exact
 polynomial-part extraction against the generated-measure moments.  The
 vanishing-at-infinity order condition on the top form is then *verified*
 from the Laurent coefficients, never imposed.
@@ -15,13 +15,9 @@ the monic Q_n.  The monic polynomial and the sign are stored separately
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
-
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import repr_dps
 
-from .linalg import solve
 from .measures import SupportError
 from .nikishin import NikishinSystem
 from .poly import Polynomial
@@ -32,48 +28,36 @@ class HPSolverError(ArithmeticError):
     """Numerical failure in the Hermite-Pade solve; remedy: raise precision."""
 
 
-def _solve_Qn(sys: NikishinSystem, n: int):
+def solve(sys: NikishinSystem, n: int):
+    """(c, info) for degree n from the shared Gram factor, a back-substitution
+    on U[:n, :n] (on L[:n, :n]^T for the twin whose level 1 lies right):
+    Q_n = p_n + sum_mu c_mu p_mu on Delta_m; info["condition"] is the exact
+    kappa_1 of the degree's equilibrated leading block, info["residual"] the
+    componentwise backward error of c."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    if n == 0:
-        return Polynomial.one(), (), {"condition": mpf(1), "solve_residual": mpf(0)}
-    # solve in the interval-adapted bases: same orthogonality conditions,
-    # but the matrix conditioning drops to the kernel's intrinsic decay
-    A = [[sys.gram(nu, mu) for mu in range(n)] for nu in range(n)]
-    b = [-sys.gram(nu, n) for nu in range(n)]
-    # the monic bases carry geometric diagonal grading; equilibrate rows and
-    # columns so the solver only sees the kernel's intrinsic conditioning
-    row_scale = [mpf(1) / max(abs(v) for v in row) for row in A]
-    for nu in range(n):
-        A[nu] = [v * row_scale[nu] for v in A[nu]]
-        b[nu] = b[nu] * row_scale[nu]
-    col_scale = [
-        mpf(1) / max(abs(A[nu][mu]) for nu in range(n)) for mu in range(n)
-    ]
-    for nu in range(n):
-        A[nu] = [A[nu][mu] * col_scale[mu] for mu in range(n)]
+    factor, transposed = sys.gram_factor()
     try:
-        c, info = solve(A, b, refine=4)
-    except ArithmeticError as ex:
+        c, cond, residual = factor.solve(n, transposed)
+    except ZeroDivisionError as ex:
         raise HPSolverError(
-            f"bimoment system for n={n} numerically singular ({ex}); "
+            f"bimoment system for n={n}: exact zero pivot in the Gram factor; "
             "raise the working precision"
         ) from ex
-    c = tuple(c[mu] * col_scale[mu] for mu in range(n))
-    Q = sys.basis_polynomial(sys.m, n)
+    return c, {"condition": cond, "residual": residual}
+
+
+def _monomial(sys: NikishinSystem, c) -> Polynomial:
+    """Q = p_n + sum_mu c_mu p_mu in the monomial basis."""
+    Q = sys.basis_polynomial(sys.m, len(c))
     for mu, cm in enumerate(c):
         Q = Q + sys.basis_polynomial(sys.m, mu).scale(cm)
-    return (
-        Q,
-        c,
-        {"condition": info["condition"], "solve_residual": info["residual"]},
-    )
+    return Q
 
 
 def solve_Qn(sys: NikishinSystem, n: int) -> Polynomial:
     """Monic degree-n biorthogonal polynomial of the system."""
-    Q, _, _ = _solve_Qn(sys, n)
-    return Q
+    return _monomial(sys, solve(sys, n)[0])
 
 
 def _poly_part_coeffs(p: Polynomial, moments):
@@ -121,7 +105,6 @@ class HPSolution:
         self._chains = dict(chains or {})
         self._blocks = {}
         self._zeros = {}
-        self._lock = threading.Lock()
 
     @property
     def Q(self) -> Polynomial:
@@ -141,9 +124,7 @@ class HPSolution:
             vals = _adapted_values(self.system, self.c)
         else:
             (vals,) = self.system.push(k + 1, k, [self._chain(k + 1)])
-        with self._lock:
-            self._chains.setdefault(k, vals)
-        return self._chains[k]
+        return self._chains.setdefault(k, vals)
 
     def eval_form(self, j: int, z, route: str = "chain"):
         """A_{n,j}(z); j=m is the polynomial (-1)^m a_{n,m} = Q_n.
@@ -200,9 +181,7 @@ class HPSolution:
                     for lo, hi, flo, fhi in brackets
                 )
             )
-        with self._lock:
-            self._zeros.setdefault(j, roots)
-        return self._zeros[j]
+        return self._zeros.setdefault(j, roots)
 
 
 def _order_residuals(sys: NikishinSystem, u, ua, n: int):
@@ -224,7 +203,8 @@ def _order_residuals(sys: NikishinSystem, u, ua, n: int):
 def solve_hp_vector(sys: NikishinSystem, n: int) -> HPSolution:
     """Full vector (a_{n,0},...,a_{n,m}) plus diagnostics for degree n."""
     m = sys.m
-    Q, c, diag = _solve_Qn(sys, n)
+    c, info = solve(sys, n)
+    Q = _monomial(sys, c)
     a = [None] * (m + 1)
     a[m] = Q if m % 2 == 0 else Q.scale(mpf(-1))
     for j in range(m - 1, -1, -1):
@@ -241,9 +221,8 @@ def solve_hp_vector(sys: NikishinSystem, n: int) -> HPSolution:
         a[j] = acc.scale(mpf(sj))
     chains, ua = _kernel_projection(sys, _adapted_values(sys, c))
     residuals, scale = _order_residuals(sys, chains[1], ua, n)
-    diag["residuals"] = residuals
-    diag["scale"] = scale
-    diag["cond"] = diag.pop("condition")
+    diag = {"cond": info["condition"], "solve_residual": info["residual"]}
+    diag.update(residuals=residuals, scale=scale)
     return HPSolution(sys, n, a, c, diag, chains)
 
 

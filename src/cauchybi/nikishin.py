@@ -10,12 +10,12 @@ bits derived from the node sets, against a kernel matrix cached per adjacent
 pair and precision, and round once to working precision; moments
 (`power_sums`) and Gram entries are summed the same way.  The plain-mpf
 loops kept here (`s_hat`, `kernel_K`, the monomial bimoments) are the
-independent oracles the tests check the operator against.
+independent oracles the tests check the operator against.  The adapted
+Gram's one L*D*U (`BorderedLDU`) grows by bordering and serves both twins.
 """
 
 from __future__ import annotations
 
-import threading
 from operator import mul
 
 from mpmath import mp, mpf, mpc
@@ -63,11 +63,100 @@ def _fixed_sum(terms):
     return _to_mpf(sum(Y), E)
 
 
+def _minus_dot(b, row, x):
+    """b - sum_j row_j x_j, rounded once."""
+    return mp.fdot([(b, 1), *((r, -v) for r, v in zip(row, x))])
+
+
+def _forward(tri, rhs):
+    """z with z_i = rhs_i - sum_{j<i} tri[i][j] z_j."""
+    z = []
+    for row, b in zip(tri, rhs):
+        z.append(_minus_dot(b, row, z))
+    return z
+
+
+def _degree(tri, rows, inverse, k):
+    """(x, kappa_1, backward error) for A_k x = -A[:k, k], where `rows` are
+    A's rows through column k, `inverse` is A_k^-1 and tri[j] is the strict
+    column j of the unit upper triangular factor."""
+    if not k:
+        return (), mpf(1), mpf(0)
+    x = [mpf(1)]  # x_k, x_{k-1}, ..., by back-substitution
+    for i in range(k - 1, -1, -1):
+        x.append(-mp.fdot((tri[j][i], v) for j, v in zip(range(k, i, -1), x)))
+    xh = x[::-1]
+    backward = mpf(0)
+    for row in rows[:k]:
+        den = mp.fdot(map(abs, row), map(abs, xh))
+        if den:  # 0/0 reads as 0
+            backward = max(backward, abs(mp.fdot(row, xh)) / den)
+    # kappa_1(R A_k S), R scaling the rows and then S the columns to unit
+    # maximum; (R A_k S)^-1 = S^-1 A_k^-1 R^-1
+    r = [1 / max(abs(v) for v in row[:k]) for row in rows[:k]]
+    cols = list(zip(*([abs(v) * ri for v in row[:k]] for row, ri in zip(rows, r))))
+    s = [1 / max(col) for col in cols]
+    norm = max(mp.fsum(col) * sj for col, sj in zip(cols, s))
+    inv_norm = max(
+        mp.fsum(abs(v) / sj for v, sj in zip(col, s)) / ri
+        for col, ri in zip(zip(*inverse), r)
+    )
+    return tuple(xh[:-1]), norm * inv_norm, backward
+
+
+class BorderedLDU:
+    """A = L D U, unpivoted, of the matrix with entries entry(i, j).
+
+    Step k reads row and column k into `rows`, adds lower[k] = L[k, :k],
+    upper[k] = U[:k, k] and pivots[k] = D_k (dividing by D_0..D_{k-1}, so an
+    exact zero pivot raises ZeroDivisionError) and solves degree k: (x, 1),
+    column k of U^-1, solves A_k x = -A[:k, k]; (y, 1), row k of L^-1, solves
+    A_k^T y = -A[k, :k].  The inverse grows by one rank-one term,
+    A_{k+1}^-1 = (A_k^-1 (+) 0) + (x, 1)(y, 1)^T / D_k.  Sums are `mp.fdot`s.
+    """
+
+    def __init__(self, entry):
+        self._entry = entry
+        self.rows, self.lower, self.upper, self.pivots = [], [], [], []
+        self._inverse = []
+        self._degrees = []
+
+    def solve(self, k: int, transposed: bool = False):
+        """(x, kappa_1, backward error) for A_k x = -A[:k, k], or with
+        transposed=True for A_k^T y = -A[k, :k]."""
+        while len(self.pivots) <= k:
+            self._grow()
+        return self._degrees[k][transposed]
+
+    def _grow(self) -> None:
+        k = len(self.pivots)
+        a = [self._entry(i, k) for i in range(k)]
+        b = [self._entry(k, j) for j in range(k)]
+        alpha = self._entry(k, k)
+        z = _forward(self.lower, a)
+        u = [v / d for v, d in zip(z, self.pivots)]
+        l = [v / d for v, d in zip(_forward(self.upper, b), self.pivots)]
+        if k:
+            (x, _, _), (y, _, _) = self._degrees[k - 1]
+            yh, xd = (*y, 1), [v / self.pivots[k - 1] for v in (*x, 1)]
+            padded = [row + [mpf(0)] for row in self._inverse] + [[mpf(0)] * k]
+            self._inverse = [[v + xi * yj for v, yj in zip(row, yh)] for row, xi in zip(padded, xd)]
+        self.upper.append(u)
+        self.lower.append(l)
+        self.pivots.append(_minus_dot(alpha, l, z))
+        for row, v in zip(self.rows, a):
+            row.append(v)
+        self.rows.append(b + [alpha])
+        fwd = _degree(self.upper, self.rows, self._inverse, k)
+        rev = _degree(self.lower, list(zip(*self.rows)), list(zip(*self._inverse)), k)
+        self._degrees.append((fwd, rev))
+
+
 class NikishinSystem:
     """Ordered tuple of interval measures with disjoint consecutive supports.
 
-    Immutable after construction; transform caches are write-once under a
-    lock, so shared concurrent reads are safe.
+    Immutable after construction apart from its write-once caches.  A
+    system and its reversal share the operator's caches and one Gram factor.
     """
 
     def __init__(self, measures):
@@ -92,11 +181,10 @@ class NikishinSystem:
         self._basis_vals = {}
         self._basis_polys = {}
         self._gram_chain = {}
-        self._grams = {}
         self._fixed_levels = {}
         self._kernels = {}
+        self._factors = {}
         self._reversed = None
-        self._lock = threading.Lock()
 
     def measure(self, j: int) -> IntervalMeasure:
         """1-based access to sigma_j."""
@@ -110,16 +198,14 @@ class NikishinSystem:
     def reversed(self) -> "NikishinSystem":
         """The chain read backwards; built once, and its reversal is self."""
         if self._reversed is None:
-            with self._lock:
-                if self._reversed is None:
-                    rev = NikishinSystem(tuple(reversed(self.measures)))
-                    # the operator's caches are keyed by the measures, so
-                    # both orientations share them (and one lock)
-                    rev._fixed_levels = self._fixed_levels
-                    rev._kernels = self._kernels
-                    rev._lock = self._lock
-                    rev._reversed = self
-                    self._reversed = rev
+            rev = NikishinSystem(tuple(reversed(self.measures)))
+            # the operator's caches are keyed by the measures, so both
+            # orientations share them, and the Gram factor serves both
+            rev._fixed_levels = self._fixed_levels
+            rev._kernels = self._kernels
+            rev._factors = self._factors
+            rev._reversed = self
+            self._reversed = rev
         return self._reversed
 
     # -- the Cauchy-chain operator --------------------------------------
@@ -147,8 +233,7 @@ class NikishinSystem:
             min(mu.nodes),
             max(mu.nodes),
         )
-        with self._lock:
-            return self._fixed_levels.setdefault(id(mu), level)
+        return self._fixed_levels.setdefault(id(mu), level)
 
     def _weighted(self, j: int, v):
         """The products w_l v_l over sigma_j's nodes as exact (m, e) pairs."""
@@ -208,8 +293,7 @@ class NikishinSystem:
             F = mp.prec + guard + mp.mag(max(ds))
             rows = tuple(tuple(self._reciprocals(j, t, F)) for t in dst.nodes)
             kernel = (rows, F, guard, 1)
-        with self._lock:
-            return self._kernels.setdefault(key, kernel)
+        return self._kernels.setdefault(key, kernel)
 
     def push(self, j: int, k: int, vectors, absolute: bool = False):
         """Cauchy transforms of the measures v dsigma_j at sigma_k's nodes,
@@ -307,9 +391,7 @@ class NikishinSystem:
         else:
             inner_j = j + 1 if j < k else j - 1
             (vals,) = self.push(inner_j, j, [self.inner_values(inner_j, k)])
-        with self._lock:
-            self._inner_cache.setdefault(key, vals)
-        return self._inner_cache[key]
+        return self._inner_cache.setdefault(key, vals)
 
     def s_hat(self, j: int, k: int, z):
         """Cauchy transform of the generated measure s_{j,k} at z.
@@ -338,8 +420,7 @@ class NikishinSystem:
         acc = mpc(0) if complex_z else mpf(0)
         for x, w, g in zip(mu.nodes, mu.weights, inner):
             acc += w * g / (z - x)
-        with self._lock:
-            return self._shat_cache.setdefault(key, acc)
+        return self._shat_cache.setdefault(key, acc)
 
     def s_mass(self, j: int, k: int):
         """Total mass of s_{j,k} (z * s_hat -> mass as z -> infinity)."""
@@ -356,8 +437,7 @@ class NikishinSystem:
             have = self.power_sums(
                 j, self.inner_values(j, k), max(count, 2 * len(have))
             )
-            with self._lock:
-                self._smoment_cache[key] = have
+            self._smoment_cache[key] = have
         return self._smoment_cache[key][:count]
 
     # -- iterated kernel ----------------------------------------------
@@ -427,9 +507,7 @@ class NikishinSystem:
                 for t in mu_next.nodes
             ]
         h = tuple(h)
-        with self._lock:
-            self._chain_cache.setdefault(nu, h)
-        return self._chain_cache[nu]
+        return self._chain_cache.setdefault(nu, h)
 
     def bimoment(self, nu: int, mu_idx: int):
         """I_{nu,mu} = double integral of x_1^nu x_m^mu K(x_1,x_m).
@@ -458,9 +536,7 @@ class NikishinSystem:
                 ),
                 mpf(0),
             )
-        with self._lock:
-            self._bimoments.setdefault(key, val)
-        return self._bimoments[key]
+        return self._bimoments.setdefault(key, val)
 
 
     # -- interval-adapted bases and the Gram form of the bimoments ------
@@ -496,8 +572,7 @@ class NikishinSystem:
                     ]
                 have.append(nxt)
             have = [tuple(r) for r in have]
-            with self._lock:
-                self._basis_vals[j] = have
+            self._basis_vals[j] = have
         return self._basis_vals[j][:count]
 
     def basis_polynomial(self, j: int, k: int) -> Polynomial:
@@ -518,8 +593,7 @@ class NikishinSystem:
                 else:
                     bi = s2 * mpf((i - 1) ** 2) / (4 * (i - 1) ** 2 - 1)
                     have.append(shift * have[-1] - have[-2].scale(bi))
-            with self._lock:
-                self._basis_polys[j] = have
+            self._basis_polys[j] = have
         return self._basis_polys[j][k]
 
     def _gram_chain_values(self, nu: int):
@@ -531,25 +605,27 @@ class NikishinSystem:
         h = self.basis_values(1, nu + 1)[nu]
         for j in range(1, self.m):
             (h,) = self.push(j, j + 1, [h])
-        with self._lock:
-            return self._gram_chain.setdefault(nu, h)
+        return self._gram_chain.setdefault(nu, h)
 
     def gram(self, nu: int, mu_idx: int):
         """Bimoment bilinear form on the adapted bases: the (nu, mu) entry
         of the kernel Gram matrix between the Delta_1 and Delta_m bases."""
         if nu < 0 or mu_idx < 0:
             raise ValueError("gram orders must be >= 0")
-        key = (nu, mu_idx)
-        cached = self._grams.get(key)
-        if cached is not None:
-            return cached
         q = self.basis_values(self.m, mu_idx + 1)[mu_idx]
         val = self.dot(self.m, q, self._gram_chain_values(nu))
-        if self.m % 2 == 0:
-            val = -val
-        with self._lock:
-            self._grams.setdefault(key, val)
-        return self._grams[key]
+        return -val if self.m % 2 == 0 else val
+
+    def gram_factor(self):
+        """(factor, transposed): the adapted Gram's L*D*U at the working
+        precision, shared by both twins and read from the one whose level 1
+        lies left, so no result depends on which twin or degree comes first;
+        the other's Gram is its transpose up to the kernel sign."""
+        left = self if self.interval(1).a <= self.interval(self.m).a else self.reversed()
+        factor = self._factors.get(mp.prec)
+        if factor is None:
+            factor = self._factors[mp.prec] = BorderedLDU(left.gram)
+        return factor, left is not self
 
 
 def make_system(measures) -> NikishinSystem:

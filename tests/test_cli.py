@@ -3,6 +3,9 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -177,13 +180,38 @@ def test_out_flag_overrides_outputs(tmp_path):
     assert (alt / "equilibrium.json").exists()
 
 
-def test_parallel_jobs_match_serial(tmp_path):
+def test_solve_hp_accepts_jobs_1_only(tmp_path):
+    # the benchmark worker passes --jobs 1; any other value is refused
     cfg = write_config(tmp_path, S2_CONFIG)
-    assert main(["solve-hp", "--config", cfg, "--jobs", "2"]) == 0
-    par = json.loads((tmp_path / "out" / "hp_forward_n004.json").read_text())
-    assert main(["solve-hp", "--config", cfg, "--force"]) == 0
-    ser = json.loads((tmp_path / "out" / "hp_forward_n004.json").read_text())
-    assert par["a"] == ser["a"]
+    assert main(["solve-hp", "--config", cfg, "--jobs", "1"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["solve-hp", "--config", cfg, "--jobs", "2"])
+    assert exc.value.code == 2
+
+
+def test_benchmark_tracer_hooks_resolve():
+    # perfbench/spans.py patches names in the package by attribute; each must
+    # still exist (hp.solve, cli.make_measure, NikishinSystem.gram, ...)
+    root = Path(__file__).resolve().parent.parent
+    code = "import sys; sys.path.insert(0, 'perfbench'); from spans import Tracer; Tracer().install()"
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_force_recomputes_saved_equilibrium(tmp_path):
+    cfg = write_config(tmp_path, M1_CONFIG)
+    assert main(["verify", "--config", cfg]) == 0
+    path = tmp_path / "out" / "equilibrium.json"
+    fresh = json.loads(path.read_text())
+    edited = json.loads(path.read_text())
+    edited["lambdas"][0]["weights"][0] = "0.5"
+    path.write_text(json.dumps(edited))
+    assert main(["verify", "--config", cfg, "--force"]) == 0
+    assert json.loads(path.read_text()) == fresh
 
 
 # -- the run manifest ---------------------------------------------------

@@ -1,8 +1,5 @@
 """Nikishin chains: generated measures, kernels, bimoments, adapted bases."""
 
-import sys
-from concurrent.futures import ThreadPoolExecutor
-
 import pytest
 from mpmath import mp, mpf, mpc
 
@@ -57,19 +54,6 @@ def test_reversed_swaps_chain(s2):
     # built once, both ways
     assert s2.reversed() is r
     assert rr is s2
-
-
-def test_reversed_built_once_across_threads():
-    sys_ = make_system([lebesgue(0, 1, 8), lebesgue(2, 3, 8)])
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            revs = list(pool.map(lambda _: sys_.reversed(), range(64)))
-    finally:
-        sys.setswitchinterval(interval)
-    assert all(r is revs[0] for r in revs)
-    assert revs[0].reversed() is sys_
 
 
 def test_s_hat_level_zero_is_plain_transform(s2):
