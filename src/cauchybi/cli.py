@@ -45,7 +45,7 @@ class ConfigError(ValueError):
     pass
 
 
-MANIFEST_SCHEMA = 1
+MANIFEST_SCHEMA = 2  # 2: cond is the exact kappa_1, solve_residual componentwise
 # the files a command resumes from instead of solving
 _RESUMABLE = re.compile(r"hp_(forward|reversed)_n\d+\.json|equilibrium(_reversed)?\.json")
 

@@ -30,7 +30,7 @@ class HPSolverError(ArithmeticError):
 
 def solve(sys: NikishinSystem, n: int):
     """(c, info) for degree n from the shared Gram factor, a back-substitution
-    on U[:n, :n] (on L[:n, :n]^T for the twin whose level 1 lies right):
+    on U[:n, :n] (on L[:n, :n]^T for the twin that reads it transposed):
     Q_n = p_n + sum_mu c_mu p_mu on Delta_m; info["condition"] is the exact
     kappa_1 of the degree's equilibrated leading block, info["residual"] the
     componentwise backward error of c."""

@@ -118,8 +118,7 @@ class BorderedLDU:
     def __init__(self, entry):
         self._entry = entry
         self.rows, self.lower, self.upper, self.pivots = [], [], [], []
-        self._inverse = []
-        self._degrees = []
+        self._inverse, self._degrees = [], []
 
     def solve(self, k: int, transposed: bool = False):
         """(x, kappa_1, backward error) for A_k x = -A[:k, k], or with
@@ -618,14 +617,15 @@ class NikishinSystem:
 
     def gram_factor(self):
         """(factor, transposed): the adapted Gram's L*D*U at the working
-        precision, shared by both twins and read from the one whose level 1
-        lies left, so no result depends on which twin or degree comes first;
-        the other's Gram is its transpose up to the kernel sign."""
-        left = self if self.interval(1).a <= self.interval(self.m).a else self.reversed()
+        precision, shared by both twins and built from the one whose chain
+        (endpoints, nodes, weights) orders first; the other reads it transposed
+        (its Gram is the transpose up to the kernel sign) unless the chains are equal."""
+        key = lambda s: [(v.interval.a, v.interval.b, v.nodes, v.weights) for v in s.measures]
+        owner = min(self, self.reversed(), key=key)
         factor = self._factors.get(mp.prec)
         if factor is None:
-            factor = self._factors[mp.prec] = BorderedLDU(left.gram)
-        return factor, left is not self
+            factor = self._factors[mp.prec] = BorderedLDU(owner.gram)
+        return factor, owner is not self
 
 
 def make_system(measures) -> NikishinSystem:

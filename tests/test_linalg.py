@@ -3,8 +3,9 @@
 import pytest
 from mpmath import mp, mpf
 
-from cauchybi import HPSolverError, NikishinSystem, lebesgue, make_system
-from cauchybi import solve_hp_vector, solve_reversed
+from cauchybi import HPSolverError, Interval, NikishinSystem, WeightSpec, lebesgue
+from cauchybi import make_measure, make_system, solve_hp_vector, solve_reversed
+from cauchybi.hp import solve
 from cauchybi.nikishin import BorderedLDU
 from cauchybi.precision import extra_precision
 
@@ -143,6 +144,30 @@ def test_degree_alone_matches_sequence(s2_solutions, s2_reversed_solutions):
     alone = solve_hp_vector(fresh, 9)
     assert alone.c == s2_solutions[9].c
     assert rev.c == s2_reversed_solutions[9].c
+
+
+@pytest.mark.parametrize("reversed_first", [False, True])
+@pytest.mark.parametrize("end_weight", [WeightSpec("0.5", "-0.3"), WeightSpec()])
+def test_shared_factor_when_ends_share_an_interval(reversed_first, end_weight):
+    # Delta_1 = Delta_3: the twins are told apart by their weights, and each
+    # twin's c solves its own Gram whichever asks first; with equal end
+    # weights the chain is a palindrome and both read the same Gram as is
+    def chain():
+        ends = [make_measure(Interval(0, 1), w, node_count=24) for w in (WeightSpec(), end_weight)]
+        return make_system([ends[0], lebesgue(2, 3, 24), ends[1]])
+
+    top = 6
+    sys_ = chain()
+    twins = (sys_.reversed(), sys_) if reversed_first else (sys_, sys_.reversed())
+    got = {id(t): [solve(t, n)[0] for n in range(top + 1)] for t in twins}
+    ref = chain()  # solved forward first
+    for twin, other in ((sys_, ref), (sys_.reversed(), ref.reversed())):
+        want = [solve(other, n)[0] for n in range(top + 1)]
+        assert got[id(twin)] == want
+        own = BorderedLDU(other.gram)
+        for n in range(1, top + 1):
+            err = max(abs(a - b) / abs(b) for a, b in zip(want[n], own.solve(n)[0]))
+            assert err < mpf(10) ** (-mp.dps + 20), n
 
 
 def test_zero_pivot_raises_naming_degree(monkeypatch):
