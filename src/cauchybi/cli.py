@@ -214,22 +214,27 @@ def _solution_path(outdir: str, kind: str, n: int) -> str:
 
 
 def _get_solutions(cfg: RunConfig, sys_obj, kind: str, force: bool):
-    """Solutions n = 0..n_max for one orientation, reusing saved files."""
-
-    def one(n):
+    """Solutions n = 0..n_max for one orientation, reusing saved files; a
+    solved degree's zeros are bracketed by the previous degree's, whether
+    that degree was loaded or solved."""
+    sols = []
+    for n in range(cfg.n_max + 1):
         path = _solution_path(cfg.outputs, kind, n)
+        sol = None
         if not force and os.path.exists(path):
             with open(path) as fh:
                 doc = json.load(fh)
             # a file without Q's adapted coefficients is solved again: its
             # monomial Q alone would start every chain with lossy digits
             if "c" in doc:
-                return hp.solution_from_json(sys_obj, doc)
-        sol = hp.solve_hp_vector(sys_obj, n)
-        atomic_write(path, json.dumps(hp.solution_to_json(sol), indent=1))
-        return sol
-
-    return [one(n) for n in range(cfg.n_max + 1)]
+                sol = hp.solution_from_json(sys_obj, doc)
+        if sol is None:
+            sol = hp.solve_hp_vector(sys_obj, n)
+            for j in range(1, sol.m + 1):
+                sol.zeros(j, below=sols[-1].zeros(j) if sols else None)
+            atomic_write(path, json.dumps(hp.solution_to_json(sol), indent=1))
+        sols.append(sol)
+    return sols
 
 
 def cmd_solve_hp(cfg: RunConfig, force: bool = False) -> int:

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from mpmath import mp, mpf
+from mpmath.libmp import repr_dps
 
 from .measures import Interval
 from .polyzeros import DiscreteMeasure, log_potential
@@ -283,17 +284,9 @@ def solve_equilibrium(
             raise EquilibriumError(
                 f"component {j + 1} support is not a single cell range"
             )
-        e = edges[j][lo : hi + 1]
-        pts = (e[:-1] + e[1:]) / 2
         wm = [mpf(v) for v in w[lo:hi]]
         total = sum(wm, mpf(0))
-        lambdas.append(
-            DiscreteMeasure(
-                tuple(mpf(p) for p in pts),
-                tuple(v / total for v in wm),
-                tuple(mpf(v) for v in e),
-            )
-        )
+        lambdas.append(_cells([mpf(v) for v in edges[j][lo : hi + 1]], [v / total for v in wm]))
 
     omega_prime = tuple(mpf(v) for v in levels)
     omega_cum = []
@@ -332,18 +325,26 @@ def combined_potential(sol: EquilibriumSolution, C: InteractionMatrix, j: int, z
     return total
 
 
+def _cells(edges, weights) -> DiscreteMeasure:
+    """Cell density with these edges and masses, at the exact midpoints."""
+    mids = tuple((a + b) / 2 for a, b in zip(edges, edges[1:]))
+    return DiscreteMeasure(mids, tuple(weights), tuple(edges))
+
+
 def solution_to_json(sol: EquilibriumSolution) -> dict:
+    """JSON-ready document at round-trip digits: loaded equals solved."""
+    num = lambda v: mp.nstr(v, repr_dps(mp.prec))
     return {
-        "intervals": [[mp.nstr(iv.a, 30), mp.nstr(iv.b, 30)] for iv in sol.intervals],
+        "intervals": [[num(iv.a), num(iv.b)] for iv in sol.intervals],
         "lambdas": [
             {
-                "cell_edges": [mp.nstr(e, 30) for e in lam.cell_edges],
-                "weights": [mp.nstr(w, 30) for w in lam.weights],
+                "cell_edges": [num(e) for e in lam.cell_edges],
+                "weights": [num(w) for w in lam.weights],
             }
             for lam in sol.lambdas
         ],
-        "omega_prime": [mp.nstr(v, 30) for v in sol.omega_prime],
-        "omega_cum": [mp.nstr(v, 30) for v in sol.omega_cum],
+        "omega_prime": [num(v) for v in sol.omega_prime],
+        "omega_cum": [num(v) for v in sol.omega_cum],
         "residual": mp.nstr(sol.residual, 8),
         "iterations": sol.iterations,
         "energy_log": [float(e) for e in sol.energy_log],
@@ -357,17 +358,11 @@ def solution_from_json(doc: dict, C: InteractionMatrix | None = None) -> Equilib
     lambdas = []
     for l in doc["lambdas"]:
         w = [mpf(v) for v in l["weights"]]
-        total = sum(w, mpf(0))  # restore exact unit mass lost to rounding
-        lambdas.append(
-            DiscreteMeasure(
-                tuple(
-                    (mpf(e1) + mpf(e2)) / 2
-                    for e1, e2 in zip(l["cell_edges"], l["cell_edges"][1:])
-                ),
-                tuple(v / total for v in w),
-                tuple(mpf(e) for e in l["cell_edges"]),
-            )
-        )
+        total = sum(w, mpf(0))
+        # restore unit mass lost to fewer digits (round-trip weights keep it)
+        if abs(total - 1) > len(w) * mp.eps:
+            w = [v / total for v in w]
+        lambdas.append(_cells([mpf(e) for e in l["cell_edges"]], w))
     lambdas = tuple(lambdas)
     return EquilibriumSolution(
         intervals=intervals,

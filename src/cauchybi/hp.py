@@ -21,7 +21,7 @@ from mpmath.libmp import repr_dps
 from .measures import SupportError
 from .nikishin import NikishinSystem
 from .poly import Polynomial
-from .polyzeros import RootCountError, _scan_sign_changes, real_roots, refine_bracket
+from .polyzeros import bracketed_roots, real_roots
 
 
 class HPSolverError(ArithmeticError):
@@ -126,17 +126,18 @@ class HPSolution:
             (vals,) = self.system.push(k + 1, k, [self._chain(k + 1)])
         return self._chains.setdefault(k, vals)
 
-    def eval_form(self, j: int, z, route: str = "chain"):
+    def eval_form(self, j: int, z, route: str = "chain", slope: bool = False):
         """A_{n,j}(z); j=m is the polynomial (-1)^m a_{n,m} = Q_n.
 
         route="chain" contracts the cached chain vector at sigma_{j+1}'s
         nodes in the system's fixed-point operator; route="direct" uses the
         defining combination against the generated transforms in mpf.
+        slope=True (real z, chain route) returns (A_{n,j}(z), A_{n,j}'(z)).
         """
         if not 0 <= j <= self.m:
             raise IndexError(f"form index {j} out of 0..{self.m}")
         if j == self.m:
-            return self.Q(z)
+            return self.Q.value_and_slope(z) if slope else self.Q(z)
         complex_z = isinstance(z, (mpc, complex)) and mpc(z).imag != 0
         z = mpc(z) if complex_z else (mpc(z).real if isinstance(z, (mpc, complex)) else mpf(z))
         if not complex_z and self.system.interval(j + 1).contains(z):
@@ -148,12 +149,13 @@ class HPSolution:
                 acc += sk * self.a[k](z) * self.system.s_hat(j + 1, k, z)
             return acc
         blocks = self._blocks.setdefault(j + 1, {})
-        return self.system.transform(j + 1, self._chain(j + 1), z, blocks)
+        return self.system.transform(j + 1, self._chain(j + 1), z, blocks, slope)
 
     # -- zeros ---------------------------------------------------------
 
-    def zeros(self, j: int):
-        """The n zeros of A_{n,j} in the open interval Delta_j, sorted."""
+    def zeros(self, j: int, below=None):
+        """The n zeros of A_{n,j} in the open interval Delta_j, sorted;
+        `below` (degree n - 1's) brackets them, see `bracketed_roots`."""
         if not 1 <= j <= self.m:
             raise IndexError(f"zero level {j} out of 1..{self.m}")
         cached = self._zeros.get(j)
@@ -164,23 +166,13 @@ class HPSolution:
         if n == 0:
             roots = ()
         elif j == self.m:
-            roots = tuple(real_roots(self.Q, iv))
+            roots = tuple(real_roots(self.Q, iv, below))
         else:
-            f = lambda x: self.eval_form(j, x)
-            brackets = _scan_sign_changes(f, iv.a, iv.b, n, 8 * n)
-            if brackets is None or len(brackets) != n:
-                found = 0 if brackets is None else len(brackets)
-                raise RootCountError(
-                    f"A_{{{n},{j}}}: found {found} sign changes on "
-                    f"Delta_{j}, expected {n}; precision/quadrature fault"
-                )
-            xtol = mpf(10) ** (-mp.dps // 3) * max(mpf(1), abs(iv.a), abs(iv.b))
-            roots = tuple(
-                sorted(
-                    refine_bracket(f, lo, hi, flo, fhi, xtol)
-                    for lo, hi, flo, fhi in brackets
-                )
-            )
+            f = lambda x, slope=False: self.eval_form(j, x, slope=slope)
+            # slope bits start afresh: the zeros do not depend on earlier calls
+            self._blocks.get(j + 1, {}).pop("slope bits", None)
+            what = f"A_{{{n},{j}}} (precision/quadrature fault)"
+            roots = tuple(bracketed_roots(f, lambda x: f(x, True), iv, n, below, what))
         return self._zeros.setdefault(j, roots)
 
 
@@ -334,13 +326,14 @@ def form_identity_residual(sol: HPSolution, j: int, z, relative: bool = False):
 
 
 def solution_to_json(sol: HPSolution, include_zeros: bool = True) -> dict:
-    """JSON-ready document; all numbers as full-precision decimal strings."""
+    """JSON-ready document; a, c and the zeros at round-trip digits, so a
+    loaded solution equals the solved one."""
+    num = lambda v: mp.nstr(v, repr_dps(mp.prec))
     doc = {
         "n": sol.n,
         "m": sol.m,
-        "a": [[mp.nstr(c, mp.dps) for c in p.coeffs] for p in sol.a],
-        # exact round trip: chains start from these
-        "c": [mp.nstr(c, repr_dps(mp.prec)) for c in sol.c],
+        "a": [[num(c) for c in p.coeffs] for p in sol.a],
+        "c": [num(c) for c in sol.c],
         "zeros": {},
         "diagnostics": {
             "cond": mp.nstr(sol.diagnostics["cond"], 8),
@@ -351,7 +344,7 @@ def solution_to_json(sol: HPSolution, include_zeros: bool = True) -> dict:
     }
     if include_zeros:
         for j in range(1, sol.m + 1):
-            doc["zeros"][str(j)] = [mp.nstr(x, mp.dps) for x in sol.zeros(j)]
+            doc["zeros"][str(j)] = [num(x) for x in sol.zeros(j)]
     return doc
 
 

@@ -50,6 +50,20 @@ def _block_ints(terms, guard):
     return [m << (e - E) if e >= E else m >> (E - e) for m, e in terms], E
 
 
+def _slope(R, Y, top, exp, bits):
+    """(-sum_l Y_l R_l^2 2^exp, bits), all |Y_l| < 2^top, from the leading
+    `bits` bits of each Y_l and R_l: a Newton step needs only a few correct
+    bits, so `bits` doubles only while cancellation leaves fewer than 32."""
+    rtop = max(map(abs, R)).bit_length()
+    while True:
+        sy, sr = max(top - bits, 0), max(rtop - bits, 0)
+        S = sum(y * r * r for y, r in zip((y >> sy for y in Y), (r >> sr for r in R)))
+        # truncation moves each term by under 2^(2 bits + 2)
+        if not sy + sr or abs(S).bit_length() >= 2 * bits + len(R).bit_length() + 35:
+            return _to_mpf(-S, exp + sy + 2 * sr), bits
+        bits *= 2
+
+
 def _round_bits(m, e, bits):
     """m 2^e as (m', e') with m' truncated to at most `bits` bits."""
     drop = m.bit_length() - bits
@@ -316,10 +330,11 @@ class NikishinSystem:
             out.append(tuple(abs(x) for x in vals) if absolute else vals)
         return out
 
-    def transform(self, j: int, v, z, blocks: dict):
+    def transform(self, j: int, v, z, blocks: dict, slope: bool = False):
         """sum_l w_l v_l / (z - x_l) over sigma_j's nodes at one point z
         (mpf or mpc) off the node hull, in the operator's fixed point.
-        `blocks` is the caller's cache of v's fixed-point vectors."""
+        `blocks` is the caller's cache of v's fixed-point vectors.
+        slope=True (real z) adds the derivative from the same reciprocals."""
         lo, hi = self._fixed_level(j)[3:]
         far = max(abs(z - lo), abs(z - hi))
         near = abs(z - min(max(z.real, lo), hi))
@@ -338,7 +353,13 @@ class NikishinSystem:
                 for r in R
             )
             return mp.make_mpc((re, im))
-        return _to_mpf(sum(map(mul, R, Y)), E - F)
+        value = _to_mpf(sum(map(mul, R, Y)), E - F)
+        if not slope:
+            return value
+        # the bits that sufficed start the next slope of the same vector
+        bits = blocks.get("slope bits", 96)
+        d, blocks["slope bits"] = _slope(R, Y, mp.prec + guard, E - 2 * F, bits)
+        return value, d
 
     def dot(self, j: int, p, v):
         """sum_l w_l p_l v_l over sigma_j's nodes, rounded once; the error is

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from mpmath import mp, mpf, mpc
+from mpmath.libmp import fzero, mpf_add, mpf_mul, round_nearest
 
 
 def _trim(coeffs):
@@ -47,6 +48,15 @@ class Polynomial:
         for c in reversed(self.coeffs):
             acc = acc * z + c
         return acc
+
+    def value_and_slope(self, x):
+        """(p(x), p'(x)) at real x from one Horner pass on mpmath's raw
+        values: the roundings of mpf arithmetic without its objects."""
+        prec, xv, acc, slope = mp.prec, mpf(x)._mpf_, fzero, fzero
+        for c in reversed(self.coeffs):
+            slope = mpf_add(mpf_mul(slope, xv, prec, round_nearest), acc, prec, round_nearest)
+            acc = mpf_add(mpf_mul(acc, xv, prec, round_nearest), c._mpf_, prec, round_nearest)
+        return mp.make_mpf(acc), mp.make_mpf(slope)
 
     def derivative(self) -> "Polynomial":
         if self.degree <= 0:

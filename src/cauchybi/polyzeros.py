@@ -1,9 +1,10 @@
 """Real roots, zero-counting measures, interlacing, and log potentials.
 
-Everything here assumes the polynomials it sees have all-real simple zeros
-inside a known bracket (guaranteed by the structure theory upstream), so
-sign-change bracketing plus bisection is complete; a companion-matrix
-fallback at doubled precision covers pathological brackets.
+The functions whose zeros are sought have all-real simple zeros in a known
+interval, and consecutive degrees' zeros interlace (structure theory
+upstream): degree n's sign-change brackets are degree n - 1's zeros, or a
+grid scan when those do not alternate f's sign, and safeguarded Newton
+refines each; for polynomials a companion-matrix fallback covers the rest.
 """
 
 from __future__ import annotations
@@ -21,30 +22,27 @@ class RootCountError(ArithmeticError):
     """Could not account for all expected real roots."""
 
 
-def refine_bracket(f, lo, hi, flo, fhi, xtol):
-    """Illinois-method root refinement on a sign-change bracket."""
-    if flo == 0:
-        return lo
-    if fhi == 0:
-        return hi
-    side = 0
+def refine_bracket(fd, lo, hi, flo, fhi, xtol):
+    """Newton from the secant point on a sign-change bracket, fd(x) =
+    (f(x), f'(x)); a step that would leave the shrinking bracket bisects.
+    Stops when |step| <= xtol."""
+    if not flo * fhi:
+        return lo if flo == 0 else hi
+    x = (lo * fhi - hi * flo) / (fhi - flo)
     for _ in range(mp.prec + 60):
-        x = (lo * fhi - hi * flo) / (fhi - flo)
-        if not lo < x < hi:
-            x = (lo + hi) / 2
-        fx = f(x)
-        if fx == 0 or hi - lo <= xtol:
+        fx, slope = fd(x)
+        if fx == 0:
             return x
-        if (fx > 0) == (fhi > 0):
-            hi, fhi = x, fx
-            if side == 1:
-                flo /= 2
-            side = 1
+        lo, hi = (lo, x) if (fx > 0) == (fhi > 0) else (x, hi)
+        step = fx / slope if slope else mp.inf  # which bisects
+        if lo < x - step < hi:
+            x -= step
+            if abs(step) <= xtol:
+                return x
         else:
-            lo, flo = x, fx
-            if side == -1:
-                fhi /= 2
-            side = -1
+            x = (lo + hi) / 2
+            if hi - lo <= xtol:
+                return x
     return (lo + hi) / 2
 
 
@@ -66,27 +64,45 @@ def _scan_sign_changes(f, a, b, count, grid0):
     return None
 
 
-def real_roots(p: Polynomial, bracket: Interval):
-    """All deg(p) real simple roots of p inside the bracket, sorted.
+def _interlaced(f, a, b, below, count):
+    """Brackets (a, z_1), ..., (z_{count-1}, b) from the zeros `below`, or
+    None unless f alternates strictly in sign across them."""
+    if below is None or len(below) != count - 1:
+        return None
+    xs = (a, *below, b)
+    fs = [f(x) for x in xs]
+    alternates = all(u * v < 0 for u, v in zip(fs, fs[1:]))
+    return list(zip(xs, xs[1:], fs, fs[1:])) if alternates else None
 
-    Grid bracketing + Illinois refinement; if the scan cannot isolate all
-    roots (or finds one twice), falls back to polynomial eigenvalues at
-    doubled precision and validates the count.
-    """
+
+def bracketed_roots(f, fd, bracket: Interval, count: int, below=None, what="f"):
+    """The `count` simple roots of f inside the bracket, sorted, refined by
+    `refine_bracket`; brackets from the previous degree's zeros `below` when
+    they interlace (count + 1 evaluations), else from a grid scan.  Raises
+    RootCountError, prefixed by `what`, unless `count` distinct roots."""
+    a, b = bracket.a, bracket.b
+    brackets = _interlaced(f, a, b, below, count) or _scan_sign_changes(f, a, b, count, 8 * count)
+    found = 0 if brackets is None else len(brackets)
+    if found == count:
+        xtol = mpf(10) ** (-mp.dps // 3) * max(mpf(1), abs(a), abs(b))
+        roots = sorted(refine_bracket(fd, *br, xtol) for br in brackets)
+        # a root on a scan grid point can end two brackets: roots are simple
+        if all(y - x > xtol for x, y in zip(roots, roots[1:])):
+            return roots
+    raise RootCountError(f"{what}: found {found} sign changes in [{a}, {b}], expected {count}")
+
+
+def real_roots(p: Polynomial, bracket: Interval, below=None):
+    """All deg(p) real simple roots of p inside the bracket, sorted:
+    `bracketed_roots` (value and slope by Horner), else polynomial
+    eigenvalues at doubled precision with the count validated."""
     n = p.degree
     if n <= 0:
         return []
-    xtol = mpf(10) ** (-mp.dps // 3) * max(mpf(1), abs(bracket.a), abs(bracket.b))
-    brackets = _scan_sign_changes(p, bracket.a, bracket.b, n, 8 * n)
-    if brackets is not None and len(brackets) == n:
-        roots = sorted(
-            refine_bracket(p, lo, hi, flo, fhi, xtol)
-            for lo, hi, flo, fhi in brackets
-        )
-        # a root on a grid point ends two brackets and can be found twice
-        # (the other bracket's root then missed): the roots are simple
-        if all(b - a > xtol for a, b in zip(roots, roots[1:])):
-            return roots
+    try:
+        return bracketed_roots(p, p.value_and_slope, bracket, n, below)
+    except RootCountError:
+        pass
     # companion-matrix route at doubled precision
     with mp.extraprec(mp.prec):
         cand = mp.polyroots(list(reversed(p.coeffs)), maxsteps=200, extraprec=mp.prec)
@@ -115,6 +131,8 @@ class DiscreteMeasure:
     cell_edges: tuple | None = None
     # density jumps by precision: every potential and moment pass uses them
     _jumps: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # rescaled moments by (hull, K, precision): see `rescaled_moments`
+    _rescaled: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         pts = tuple(mpf(p) for p in self.points)
@@ -183,6 +201,18 @@ class DiscreteMeasure:
         """k-th moment (see `moments`)."""
         return self.moments(k)[k]
 
+    def rescaled_moments(self, c, d, K: int):
+        """Moments 0..K after mapping [c, d] onto [-1, 1], cached by (c, d,
+        K, precision) like the density jumps."""
+        key = (c, d, K, mp.prec)
+        cached = self._rescaled.get(key)
+        if cached is None:
+            phi = lambda t: (2 * t - c - d) / (d - c)
+            edges = self.cell_edges and tuple(map(phi, self.cell_edges))
+            moved = DiscreteMeasure(tuple(map(phi, self.points)), self.weights, edges)
+            cached = self._rescaled.setdefault(key, moved.moments(K))
+        return cached
+
 
 def counting_measure(zeros) -> DiscreteMeasure:
     """Normalized zero-counting measure: mass 1/n at each zero."""
@@ -249,23 +279,9 @@ def moment_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, K: int) -> mpf:
     """
     if not (mu.normalized and nu.normalized):
         raise ValueError("moment_distance requires normalized measures")
-    los_his = [mu.support_bounds, nu.support_bounds]
-    c = min(lo for lo, _ in los_his)
-    d = max(hi for _, hi in los_his)
+    (a, b), (e, f) = mu.support_bounds, nu.support_bounds
+    c, d = min(a, e), max(b, f)
     if not d > c:
         return mpf(0)
-
-    def rescaled(m):
-        phi = lambda t: (2 * t - c - d) / (d - c)
-        if m.cell_edges is None:
-            return DiscreteMeasure(
-                tuple(phi(t) for t in m.points), m.weights
-            )
-        return DiscreteMeasure(
-            tuple(phi(t) for t in m.points),
-            m.weights,
-            tuple(phi(e) for e in m.cell_edges),
-        )
-
-    ru, rv = rescaled(mu), rescaled(nu)
-    return max(abs(a - b) for a, b in zip(ru.moments(K), rv.moments(K)))
+    pairs = zip(mu.rescaled_moments(c, d, K), nu.rescaled_moments(c, d, K))
+    return max(abs(x - y) for x, y in pairs)

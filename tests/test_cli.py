@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from cauchybi.cli import load_config, main, run_manifest
+from cauchybi import equilibrium
+from cauchybi.cli import _solve_eq, load_config, main, run_manifest
 
 S2_CONFIG = {
     "system": [
@@ -104,6 +105,20 @@ def test_solve_hp_writes_solutions_and_resumes(tmp_path):
     assert main(["solve-hp", "--config", cfg]) == 0
     assert target.exists()
     assert kept.stat().st_mtime_ns == before  # untouched, not recomputed
+
+
+def test_resumed_degree_brackets_next_zeros_like_full_solve(tmp_path):
+    # degree 4 solved after degree 3 was loaded from file brackets its zeros
+    # by the loaded zeros, as a full solve brackets them by the solved ones
+    cfg = write_config(tmp_path, S2_CONFIG)
+    full, part = tmp_path / "full", tmp_path / "part"
+    assert main(["solve-hp", "--config", cfg, "--out", str(full)]) == 0
+    shutil.copytree(full, part)
+    for path in part.glob("hp_*_n00[4-6].json"):
+        path.unlink()
+    assert main(["solve-hp", "--config", cfg, "--out", str(part)]) == 0
+    for path in sorted(full.iterdir()):
+        assert (part / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def test_solution_file_without_adapted_coefficients_is_resolved(tmp_path):
@@ -212,6 +227,20 @@ def test_force_recomputes_saved_equilibrium(tmp_path):
     path.write_text(json.dumps(edited))
     assert main(["verify", "--config", cfg, "--force"]) == 0
     assert json.loads(path.read_text()) == fresh
+
+
+def test_verify_reads_saved_equilibrium_exactly(tmp_path):
+    cfg = write_config(tmp_path, M1_CONFIG)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg]) == 0  # solves and saves lambda
+    first = (out / "verify_report.json").read_bytes()
+    assert main(["verify", "--config", cfg]) == 0  # loads it
+    assert (out / "verify_report.json").read_bytes() == first
+    loaded = equilibrium.solution_from_json(json.loads((out / "equilibrium.json").read_text()))
+    fresh = _solve_eq(load_config(cfg))
+    assert loaded.lambdas == fresh.lambdas
+    assert loaded.intervals == fresh.intervals
+    assert (loaded.omega_prime, loaded.omega_cum) == (fresh.omega_prime, fresh.omega_cum)
 
 
 # -- the run manifest ---------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from mpmath import mp, mpf, mpc
 
 from cauchybi import (
+    HPSolution,
     HPSolverError,
     Polynomial,
     biorthogonality_entry,
@@ -16,6 +17,7 @@ from cauchybi import (
     solve_Qn,
     zeros_of_form,
 )
+from cauchybi import polyzeros
 from cauchybi.hp import solution_from_json, solution_to_json
 from helpers import Qnj
 
@@ -234,3 +236,83 @@ def test_eval_form_rejects_on_support(s2_solutions):
 
     with pytest.raises((SupportError, ValueError)):
         s2_solutions[3].eval_form(0, mpf("0.5"))
+
+
+# -- zero finding: interlacing brackets and safeguarded Newton -----------
+
+
+def _fresh(sol):
+    """The same solution with no zeros cached; it shares the chains."""
+    return HPSolution(sol.system, sol.n, sol.a, sol.c, sol.diagnostics, sol._chains)
+
+
+@pytest.mark.parametrize(
+    "family, top",
+    [
+        ("s2_solutions", 41),
+        ("s2_reversed_solutions", 41),
+        ("m3_solutions", 30),
+        ("m3_reversed_solutions", 30),
+    ],
+)
+def test_interlacing_brackets_match_scan_zeros(request, monkeypatch, family, top):
+    sols = request.getfixturevalue(family)
+    scans = {
+        (n, j): sols[n].zeros(j)  # the fixtures' cached grid-scan zeros
+        for n in range(1, top + 1)
+        for j in range(1, sols[n].m + 1)
+    }
+
+    def no_scan(*args):
+        raise AssertionError("grid scan used although the zeros below interlace")
+
+    monkeypatch.setattr(polyzeros, "_scan_sign_changes", no_scan)
+    for j in range(1, sols[0].m + 1):
+        iv = sols[0].system.interval(j)
+        xtol = mpf(10) ** (-mp.dps // 3) * max(mpf(1), abs(iv.a), abs(iv.b))
+        below = ()
+        for n in range(1, top + 1):
+            zs = _fresh(sols[n]).zeros(j, below=below)
+            assert len(zs) == n
+            assert max(abs(a - b) for a, b in zip(zs, scans[n, j])) <= xtol
+            below = zs
+
+
+@pytest.mark.parametrize("family", ["s2_solutions", "m3_solutions"])
+def test_eval_form_slope_matches_central_difference(request, family):
+    sol = request.getfixturevalue(family)[12]
+    for j in range(sol.m + 1):
+        # both sides of Delta_{j+1}; Q_n (j = m) inside Delta_m
+        iv = sol.system.interval(min(j + 1, sol.m))
+        span = iv.b - iv.a
+        points = [iv.a + span / 3] if j == sol.m else [iv.a - span / 3, iv.b + span / 3]
+        for x in points:
+            value, slope = sol.eval_form(j, x, slope=True)
+            assert value == sol.eval_form(j, x)
+            with mp.workprec(2 * mp.prec):
+                h = mpf(2) ** (-mp.prec // 3)
+                diff = (sol.eval_form(j, x + h) - sol.eval_form(j, x - h)) / (2 * h)
+            assert abs(slope - diff) <= mpf(2) ** -32 * abs(diff), (j, x)
+
+
+@pytest.mark.parametrize("family", ["s2_solutions", "m3_solutions"])
+def test_corrupted_zeros_below_fall_back_to_scan(request, family):
+    sols = request.getfixturevalue(family)
+    n = 8
+    for j in range(1, sols[n].m + 1):
+        a = sols[n].system.interval(j).a
+        scan = _fresh(sols[n]).zeros(j)
+        below = list(sols[n - 1].zeros(j))
+        # left of A_n's first zero, f has the sign it has at a: one sign
+        # change of the interlacing brackets is gone
+        shifted = [(a + scan[0]) / 2, *below[1:]]
+        for bad in (shifted, below[:-1], below + [below[-1]]):
+            assert _fresh(sols[n]).zeros(j, below=bad) == scan
+
+        # a list of the wrong length costs no evaluation
+        def unused(x):
+            raise AssertionError("evaluated at a list of the wrong length")
+
+        iv = sols[n].system.interval(j)
+        for bad in (below[:-1], below + [below[-1]]):
+            assert polyzeros._interlaced(unused, iv.a, iv.b, bad, n) is None

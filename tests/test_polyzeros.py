@@ -18,8 +18,9 @@ from cauchybi.polyzeros import RootCountError, refine_bracket
 
 
 def test_refine_bracket_simple_root():
-    f = lambda x: x * x - 2
-    r = refine_bracket(f, mpf(1), mpf(2), f(mpf(1)), f(mpf(2)), mpf(10) ** (-60))
+    # safeguarded Newton: fd gives value and slope
+    fd = lambda x: (x * x - 2, 2 * x)
+    r = refine_bracket(fd, mpf(1), mpf(2), mpf(-1), mpf(2), mpf(10) ** (-60))
     assert abs(r - mp.sqrt(2)) < mpf(10) ** (-55)
 
 
