@@ -6,12 +6,6 @@ where gamma solves the tridiagonal normalization chain
 2 gamma_k - gamma_{k-1} - gamma_{k+1} = 2 omega'_k (gamma_0 = gamma_{m+1} = 0),
 whose solution gives log kappa_k = omega'_k.  This avoids any Riemann-surface
 numerics; moduli are all the tested statements need.
-
-Note on the consecutive-ratio constant: the product of kappas entering the
-|A_{n+1,k}/A_{n,k}| limit runs over l = k+1..m (so that it telescopes to
-exp(-2 sum_{l>k} omega'_l) and the ratio limit coincides with the n-th root
-limit A_k, as it must when both exist); a product over l = 1..k+1 is
-inconsistent with that telescoping except when m = 1.
 """
 
 from __future__ import annotations
@@ -22,7 +16,6 @@ from mpmath import mp, mpf, mpc, exp
 
 from .equilibrium import EquilibriumSolution
 from .hp import HPSolution
-from .measures import SupportError
 from .polyzeros import log_potential
 
 
@@ -43,12 +36,6 @@ class AsymptoticPredictor:
     def m(self) -> int:
         return self.equilibrium.m
 
-    def gamma(self, k: int) -> mpf:
-        """gamma_k with the boundary convention gamma_0 = gamma_{m+1} = 0."""
-        if k == 0 or k == self.m + 1:
-            return mpf(0)
-        return self.gammas[k - 1]
-
     def V(self, k: int, z) -> mpf:
         """V^{lambda_k}(z); V^{lambda_0} = V^{lambda_{m+1}} = 0."""
         if k == 0 or k == self.m + 1:
@@ -59,10 +46,6 @@ class AsymptoticPredictor:
             value = log_potential(self.equilibrium.lambdas[k - 1], z)
             self._potentials[key] = value
         return value
-
-    def log_F(self, k: int, z) -> mpf:
-        """log |F_k(z)| (F_0 = F_{m+1} = 1)."""
-        return self.gamma(k) - self.V(k, z)
 
     def omega(self, j: int) -> mpf:
         """Backward cumulative omega_j = sum_{k>=j} omega'_k, omega_{m+1}=0."""
@@ -155,34 +138,10 @@ def form_ratio_prediction(pred: AsymptoticPredictor, j: int, k: int, z) -> mpf:
     )
 
 
-def consecutive_form_ratio_prediction(pred: AsymptoticPredictor, k: int, z) -> mpf:
-    """Limit of |A_{n+1,k}(z)/A_{n,k}(z)| for 0 <= k <= m-1, assembled from
-    the kappa product and the F moduli (see the module docstring on the
-    orientation of the kappa product)."""
-    if not 0 <= k <= pred.m - 1:
-        raise IndexError(f"form index {k} out of 0..{pred.m - 1}")
-    _check_off(pred, z, [k, k + 1])
-    log_kprod = sum((mp.log(pred.kappas[l - 1]) for l in range(k + 1, pred.m + 1)), mpf(0))
-    return exp(
-        -2 * log_kprod
-        + pred.gamma(k + 1)
-        - pred.gamma(k)
-        + pred.log_F(k, z)
-        - pred.log_F(k + 1, z)
-    )
-
-
-def reversed_predictions(pred: AsymptoticPredictor, k: int, z) -> mpf:
-    """Ratio limit for the reversed-system polynomials P_{n,k}: by the
-    reversal symmetry of the equilibrium this is the forward modulus at the
-    mirrored index m-k+1."""
-    return F_ratio_modulus(pred, pred.m - k + 1, z)
-
-
 # -- empirical estimators ----------------------------------------------
 
 
-def default_probes(intervals, real_count: int = 5, complex_count: int = 4):
+def default_probes(intervals):
     """5 real points outside the convex hull + 4 complex probes at distance
     >= 1/2 from every interval."""
     lo = min(iv.a for iv in intervals)
@@ -194,7 +153,7 @@ def default_probes(intervals, real_count: int = 5, complex_count: int = 4):
         hi + 2 * span,
         lo - span / 2,
         lo - span,
-    ][:real_count]
+    ]
     mid = (lo + hi) / 2
     height = max(span / 2, mpf(1))
     cplx = [
@@ -202,7 +161,7 @@ def default_probes(intervals, real_count: int = 5, complex_count: int = 4):
         mpc(lo, -height),
         mpc(hi, height),
         mpc(mid, -2 * height),
-    ][:complex_count]
+    ]
     for z in cplx:
         for iv in intervals:
             if iv.distance_to_point(z) < mpf("0.5"):
@@ -275,6 +234,11 @@ def empirical_tables(solutions, probes, which: str, pred: AsymptoticPredictor):
     sols = _ordered_consecutive(solutions)
     m = sols[0].m
     rows = []
+    if which in ("ratioQ", "leading"):
+        # these read the zeros: bracket each degree's by the previous degree's
+        for lo, hi in zip(sols, sols[1:]):
+            for j in range(1, m + 1):
+                hi.zeros(j, below=lo.zeros(j))
 
     def consecutive(n_level, z, target, vals):
         # rows for the ratios of neighbouring degrees' values, with the

@@ -22,7 +22,7 @@ from mpmath import mp, mpf, mpmathify
 from . import asymptotics, equilibrium, hp, polyzeros
 from .measures import Interval, MeasureError, WeightSpec, make_measure
 from .nikishin import NikishinSystem, SystemError_, make_system
-from .precision import set_precision, tol
+from .precision import DEFAULT_PRECISION_BITS, set_precision, tol
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -47,7 +47,7 @@ class ConfigError(ValueError):
 
 MANIFEST_SCHEMA = 2  # 2: cond is the exact kappa_1, solve_residual componentwise
 # the files a command resumes from instead of solving
-_RESUMABLE = re.compile(r"hp_(forward|reversed)_n\d+\.json|equilibrium(_reversed)?\.json")
+_RESUMABLE = re.compile(r"hp_(forward|reversed)_n\d+\.json|equilibrium\.json")
 
 
 @dataclass
@@ -86,7 +86,7 @@ def load_config(path: str) -> RunConfig:
     except (OSError, json.JSONDecodeError) as ex:
         raise ConfigError(f"cannot read config {path}: {ex}")
     try:
-        bits = int(raw.get("precision_bits", 512))
+        bits = int(raw.get("precision_bits", DEFAULT_PRECISION_BITS))
         if bits < 128:
             raise ConfigError(f"precision_bits must be >= 128, got {bits}")
         set_precision(bits)
@@ -108,13 +108,16 @@ def load_config(path: str) -> RunConfig:
         if n_max < 1:
             raise ConfigError(f"n_max must be >= 1, got {n_max}")
         eq = raw.get("equilibrium", {})
+        eq_cells = int(eq.get("cells", 256))
+        if eq_cells < 1:
+            raise ConfigError(f"equilibrium.cells must be >= 1, got {eq_cells}")
         probes = [mpmathify(p) for p in raw.get("probes", [])]
         cfg = RunConfig(
             measures=measures,
             n_max=n_max,
             precision_bits=bits,
             quad_nodes=int(raw.get("quad_nodes", 128)),
-            eq_cells=int(eq.get("cells", 256)),
+            eq_cells=eq_cells,
             eq_tol=mpf(eq.get("tol", "1e-8")),
             eq_max_iter=int(eq.get("max_iter", 500)),
             probes=probes,
@@ -286,13 +289,6 @@ def cmd_solve_equilibrium(cfg: RunConfig, force: bool = False) -> int:
         if force or not os.path.exists(path):
             sol = _solve_eq(cfg)
             atomic_write(path, json.dumps(equilibrium.solution_to_json(sol), indent=1))
-        if "reversal-symmetry" in cfg.suites:
-            rpath = os.path.join(cfg.outputs, "equilibrium_reversed.json")
-            if force or not os.path.exists(rpath):
-                rsol = _solve_eq(cfg, reverse=True)
-                atomic_write(
-                    rpath, json.dumps(equilibrium.solution_to_json(rsol), indent=1)
-                )
     except equilibrium.EquilibriumError as ex:
         print(f"solver failure: {ex}", file=sys.stderr)
         return EXIT_SOLVER
@@ -385,7 +381,7 @@ def run_suites(cfg: RunConfig, suites, force: bool = False):
 
     if "form-identity" in suites:
         gaps = [
-            hp.form_identity_residual(s, j, z, relative=True)
+            hp.form_identity_residual(s, j, z)
             for s in fwd
             for j in range(0, m)
             for z in cfg.probes

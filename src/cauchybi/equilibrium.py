@@ -1,6 +1,7 @@
 """Vector equilibrium problem for the Nikishin interaction matrix.
 
-The energy E(mu) = sum_{j,k} c_{jk} int int log(1/|x-y|) dmu_j dmu_k is
+The energy E(mu) = sum_{j,k} c_{jk} int int log(1/|x-y|) dmu_j dmu_k, with
+the Nikishin coupling c_{jj} = 1, c_{j,j+-1} = -1/2 and 0 otherwise, is
 minimized over products of probability measures, one per interval, each
 discretized as a piecewise-constant density on Chebyshev-spaced cells
 (denser near the endpoints where the equilibrium density blows up like an
@@ -24,56 +25,11 @@ from mpmath import mp, mpf
 from mpmath.libmp import repr_dps
 
 from .measures import Interval
-from .polyzeros import DiscreteMeasure, log_potential
+from .polyzeros import DiscreteMeasure
 
 
 class EquilibriumError(ArithmeticError):
     pass
-
-
-@dataclass(frozen=True)
-class InteractionMatrix:
-    """Symmetric positive-definite coupling matrix c_{j,k}."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        rows = tuple(tuple(mpf(v) for v in row) for row in self.entries)
-        m = len(rows)
-        if any(len(r) != m for r in rows):
-            raise ValueError("interaction matrix must be square")
-        for j in range(m):
-            for k in range(j):
-                if rows[j][k] != rows[k][j]:
-                    raise ValueError("interaction matrix must be symmetric")
-        try:
-            np.linalg.cholesky(np.array(rows, dtype=float))
-        except np.linalg.LinAlgError:
-            raise ValueError("interaction matrix must be positive definite")
-        object.__setattr__(self, "entries", rows)
-
-    @property
-    def m(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, jk):
-        j, k = jk
-        return self.entries[j][k]
-
-
-def nikishin_matrix(m: int) -> InteractionMatrix:
-    """Tridiagonal coupling: 1 on the diagonal, -1/2 next to it."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    half = mpf(1) / 2
-    rows = [
-        [
-            mpf(1) if j == k else (-half if abs(j - k) == 1 else mpf(0))
-            for k in range(m)
-        ]
-        for j in range(m)
-    ]
-    return InteractionMatrix(tuple(tuple(r) for r in rows))
 
 
 def _chebyshev_edges(a: float, b: float, M: int) -> np.ndarray:
@@ -111,7 +67,6 @@ def _pair_block(edges_a: np.ndarray, edges_b: np.ndarray) -> np.ndarray:
 @dataclass
 class EquilibriumSolution:
     intervals: tuple
-    C: InteractionMatrix
     lambdas: tuple  # DiscreteMeasure per interval (cell densities)
     omega_prime: tuple
     omega_cum: tuple
@@ -150,7 +105,6 @@ def _kkt_solve(Q, active, m, M):
 
 def solve_equilibrium(
     intervals,
-    C: InteractionMatrix | None = None,
     cells_per_interval: int = 256,
     tol=mpf("1e-8"),
     max_iter: int = 500,
@@ -166,27 +120,20 @@ def solve_equilibrium(
         iv if isinstance(iv, Interval) else Interval(*iv) for iv in intervals
     )
     m = len(intervals)
-    if C is None:
-        C = nikishin_matrix(m)
-    if C.m != m:
-        raise ValueError("interaction matrix size does not match intervals")
     M = int(cells_per_interval)
     tol_f = float(tol)
 
     edges = [_chebyshev_edges(float(iv.a), float(iv.b), M) for iv in intervals]
     N = m * M
     Q = np.zeros((N, N))
-    Cf = np.array([[float(v) for v in row] for row in C.entries])
     for j in range(m):
-        for k in range(j, m):
-            if Cf[j, k] == 0.0:
-                continue
-            blk = Cf[j, k] * _pair_block(edges[j], edges[k])
+        # the Nikishin coupling's upper triangle: 1, then -1/2 right of it
+        for k, c in ((j, 1.0), (j + 1, -0.5))[: m - j]:
+            blk = c * _pair_block(edges[j], edges[k])
             Q[j * M : (j + 1) * M, k * M : (k + 1) * M] = blk
             if k != j:
                 Q[k * M : (k + 1) * M, j * M : (j + 1) * M] = blk.T
 
-    h = np.concatenate([e[1:] - e[:-1] for e in edges])
     if init == "uniform":
         x = np.concatenate(
             [(e[1:] - e[:-1]) / (e[-1] - e[0]) for e in edges]
@@ -298,7 +245,6 @@ def solve_equilibrium(
 
     return EquilibriumSolution(
         intervals=intervals,
-        C=C,
         lambdas=tuple(lambdas),
         omega_prime=omega_prime,
         omega_cum=omega_cum,
@@ -306,23 +252,6 @@ def solve_equilibrium(
         iterations=iters,
         energy_log=tuple(energy_log),
     )
-
-
-def equilibrium_constants(sol: EquilibriumSolution):
-    """(omega', omega) with omega_j the backward cumulative sum."""
-    return list(sol.omega_prime), list(sol.omega_cum)
-
-
-def combined_potential(sol: EquilibriumSolution, C: InteractionMatrix, j: int, z):
-    """W_j(z) = sum_k c_{j,k} V^{lambda_k}(z), exact cell potentials."""
-    if not 1 <= j <= sol.m:
-        raise IndexError(f"component {j} out of 1..{sol.m}")
-    total = mpf(0)
-    for k in range(sol.m):
-        c = C[j - 1, k]
-        if c != 0:
-            total += c * log_potential(sol.lambdas[k], z)
-    return total
 
 
 def _cells(edges, weights) -> DiscreteMeasure:
@@ -351,10 +280,8 @@ def solution_to_json(sol: EquilibriumSolution) -> dict:
     }
 
 
-def solution_from_json(doc: dict, C: InteractionMatrix | None = None) -> EquilibriumSolution:
+def solution_from_json(doc: dict) -> EquilibriumSolution:
     intervals = tuple(Interval(a, b) for a, b in doc["intervals"])
-    if C is None:
-        C = nikishin_matrix(len(intervals))
     lambdas = []
     for l in doc["lambdas"]:
         w = [mpf(v) for v in l["weights"]]
@@ -366,7 +293,6 @@ def solution_from_json(doc: dict, C: InteractionMatrix | None = None) -> Equilib
     lambdas = tuple(lambdas)
     return EquilibriumSolution(
         intervals=intervals,
-        C=C,
         lambdas=lambdas,
         omega_prime=tuple(mpf(v) for v in doc["omega_prime"]),
         omega_cum=tuple(mpf(v) for v in doc["omega_cum"]),

@@ -126,13 +126,12 @@ class HPSolution:
             (vals,) = self.system.push(k + 1, k, [self._chain(k + 1)])
         return self._chains.setdefault(k, vals)
 
-    def eval_form(self, j: int, z, route: str = "chain", slope: bool = False):
+    def eval_form(self, j: int, z, slope: bool = False):
         """A_{n,j}(z); j=m is the polynomial (-1)^m a_{n,m} = Q_n.
 
-        route="chain" contracts the cached chain vector at sigma_{j+1}'s
-        nodes in the system's fixed-point operator; route="direct" uses the
-        defining combination against the generated transforms in mpf.
-        slope=True (real z, chain route) returns (A_{n,j}(z), A_{n,j}'(z)).
+        Contracts the cached chain vector at sigma_{j+1}'s nodes in the
+        system's fixed-point operator.  slope=True (real z) returns
+        (A_{n,j}(z), A_{n,j}'(z)).
         """
         if not 0 <= j <= self.m:
             raise IndexError(f"form index {j} out of 0..{self.m}")
@@ -142,12 +141,6 @@ class HPSolution:
         z = mpc(z) if complex_z else (mpc(z).real if isinstance(z, (mpc, complex)) else mpf(z))
         if not complex_z and self.system.interval(j + 1).contains(z):
             raise SupportError(f"z={z} lies on Delta_{j + 1}")
-        if route == "direct":
-            acc = self.a[j](z) * (1 if j % 2 == 0 else -1)
-            for k in range(j + 1, self.m + 1):
-                sk = 1 if k % 2 == 0 else -1
-                acc += sk * self.a[k](z) * self.system.s_hat(j + 1, k, z)
-            return acc
         blocks = self._blocks.setdefault(j + 1, {})
         return self.system.transform(j + 1, self._chain(j + 1), z, blocks, slope)
 
@@ -218,29 +211,9 @@ def solve_hp_vector(sys: NikishinSystem, n: int) -> HPSolution:
     return HPSolution(sys, n, a, c, diag, chains)
 
 
-def eval_form(sol: HPSolution, j: int, z, route: str = "chain"):
-    return sol.eval_form(j, z, route=route)
-
-
-def zeros_of_form(sol: HPSolution, j: int):
-    return list(sol.zeros(j))
-
-
 def solve_reversed(sys: NikishinSystem, n: int) -> HPSolution:
     """Hermite-Pade vector of the reversed chain; its Q is P_n."""
     return solve_hp_vector(sys.reversed(), n)
-
-
-def biorthogonality_entry(sys: NikishinSystem, Pk: Polynomial, Qn: Polynomial):
-    """Bilinear form of P and Q through the iterated kernel (bimoment sum)."""
-    return sum(
-        (
-            p * q * sys.bimoment(nu, mu)
-            for nu, p in enumerate(Pk.coeffs)
-            for mu, q in enumerate(Qn.coeffs)
-        ),
-        mpf(0),
-    )
 
 
 def _kernel_projection(sys: NikishinSystem, u):
@@ -260,27 +233,15 @@ def _kernel_projection(sys: NikishinSystem, u):
     return chains, ua
 
 
-def biorthogonality_quadrature(
-    sys: NikishinSystem, Pk: Polynomial, Qn: Polynomial
-):
-    """Bilinear form of P and Q via node values and the kernel chain.
-
-    Returns (entry, scale) where scale is the absolute-value sum of the
-    same contraction.  The entry equals the bimoment bilinear form, but the
-    cancellation scale is the genuine oscillatory one rather than the
-    (much larger) monomial-coefficient one, so entry/scale stays resolvable
-    at degrees where the coefficient-route scale would swamp the value.
-    """
-    entries, scales = biorthogonality_matrix(sys, [Pk], [Qn])
-    return entries[0][0], scales[0][0]
-
-
 def biorthogonality_matrix(sys: NikishinSystem, Ps, Qs):
-    """All pairwise bilinear forms of the P and Q families.
+    """All pairwise bilinear forms of the P and Q families through the
+    iterated kernel.
 
-    Returns (entries, scales) as len(Ps) x len(Qs) nested lists; each Q is
-    chained through the kernel once, so the cost is linear rather than
-    quadratic in the family size for the expensive part.
+    Returns (entries, scales) as len(Ps) x len(Qs) nested lists; each scale
+    is the absolute-value sum of the same contraction, the oscillatory
+    cancellation scale, so entry/scale stays resolvable at high degree.
+    Each Q is chained through the kernel once, so the cost is linear rather
+    than quadratic in the family size for the expensive part.
     """
     nodes = sys.measure(1).nodes
     p_vals = [[P(x) for x in nodes] for P in Ps]
@@ -296,13 +257,13 @@ def biorthogonality_matrix(sys: NikishinSystem, Ps, Qs):
     return entries, scales
 
 
-def form_identity_residual(sol: HPSolution, j: int, z, relative: bool = False):
+def form_identity_residual(sol: HPSolution, j: int, z):
     """Residual of the closing identity tying A_{n,j} back to a_{n,j}:
 
         A_{n,j} + sum_{k=j+1}^{m-1} (-1)^{k-j} shat_{k,j+1} A_{n,k}
-            = (-1)^j (a_{n,j} - a_{n,m} shat_{m,j+1}).
+            = (-1)^j (a_{n,j} - a_{n,m} shat_{m,j+1}),
 
-    With relative=True the residual is divided by the largest term magnitude.
+    divided by the largest term magnitude.
     """
     m = sol.m
     if not 0 <= j <= m - 1:
@@ -316,25 +277,23 @@ def form_identity_residual(sol: HPSolution, j: int, z, relative: bool = False):
         sol.a[j](z) - sol.a[m](z) * sol.system.s_hat(m, j + 1, z)
     )
     res = abs(sum(terms) - rhs)
-    if relative:
-        scale = max(max(abs(t) for t in terms), abs(rhs))
-        return res / scale if scale > 0 else res
-    return res
+    scale = max(max(abs(t) for t in terms), abs(rhs))
+    return res / scale if scale > 0 else res
 
 
 # -- serialization -----------------------------------------------------
 
 
-def solution_to_json(sol: HPSolution, include_zeros: bool = True) -> dict:
+def solution_to_json(sol: HPSolution) -> dict:
     """JSON-ready document; a, c and the zeros at round-trip digits, so a
     loaded solution equals the solved one."""
     num = lambda v: mp.nstr(v, repr_dps(mp.prec))
-    doc = {
+    return {
         "n": sol.n,
         "m": sol.m,
         "a": [[num(c) for c in p.coeffs] for p in sol.a],
         "c": [num(c) for c in sol.c],
-        "zeros": {},
+        "zeros": {str(j): [num(x) for x in sol.zeros(j)] for j in range(1, sol.m + 1)},
         "diagnostics": {
             "cond": mp.nstr(sol.diagnostics["cond"], 8),
             "solve_residual": mp.nstr(sol.diagnostics["solve_residual"], 8),
@@ -342,10 +301,6 @@ def solution_to_json(sol: HPSolution, include_zeros: bool = True) -> dict:
             "scale": mp.nstr(sol.diagnostics["scale"], 8),
         },
     }
-    if include_zeros:
-        for j in range(1, sol.m + 1):
-            doc["zeros"][str(j)] = [num(x) for x in sol.zeros(j)]
-    return doc
 
 
 def solution_from_json(sys: NikishinSystem, doc: dict) -> HPSolution:

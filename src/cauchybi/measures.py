@@ -19,14 +19,13 @@ share one.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 from mpmath import mp, mpf, mpc
 from scipy.special import roots_jacobi
 
-from .precision import _man_exp, _to_mpf, set_precision
+from .precision import _man_exp, _to_mpf
 
 
 class MeasureError(ValueError):
@@ -277,19 +276,13 @@ class IntervalMeasure:
     def mass(self) -> mpf:
         return sum(self.weights, mpf(0))
 
-    def integrate(self, f) -> mpf:
-        return sum((w * f(x) for x, w in zip(self.nodes, self.weights)), mpf(0))
-
 
 def make_measure(
     interval: Interval,
     weight: WeightSpec | None = None,
     node_count: int = 64,
-    precision: int | None = None,
 ) -> IntervalMeasure:
     """Build an IntervalMeasure with a Gauss-Jacobi rule of `node_count` nodes."""
-    if precision is not None:
-        set_precision(precision)
     if weight is None:
         weight = WeightSpec()
     weight.check_positive_on(interval)
@@ -324,47 +317,3 @@ def make_measure(
 def lebesgue(a, b, node_count: int = 64) -> IntervalMeasure:
     """Lebesgue measure on [a, b] (the workhorse test measure)."""
     return make_measure(Interval(a, b), WeightSpec(), node_count)
-
-
-def moment(mu: IntervalMeasure, k: int) -> mpf:
-    """k-th moment of mu."""
-    if k < 0:
-        raise ValueError("moment order must be >= 0")
-    return mu.integrate(lambda x: x**k)
-
-
-def cauchy_transform(mu: IntervalMeasure, z):
-    """Cauchy transform of mu at z, z off the closed support interval.
-
-    Real z off the interval yields a real value.  On-support evaluation is
-    an error by design: no principal values anywhere in the package.
-    """
-    if isinstance(z, (mpf, int, float, str)) and not isinstance(z, complex):
-        z = mpf(z)
-        if mu.interval.contains(z):
-            raise SupportError(f"z={z} lies on the support [{mu.interval.a}, {mu.interval.b}]")
-        return sum(
-            (w / (z - x) for x, w in zip(mu.nodes, mu.weights)), mpf(0)
-        )
-    z = mpc(z)
-    if z.imag == 0 and mu.interval.contains(z.real):
-        raise SupportError(f"z={z} lies on the support")
-    return sum((w / (z - x) for x, w in zip(mu.nodes, mu.weights)), mpc(0))
-
-
-@functools.lru_cache(maxsize=None)
-def _binomial(n, k):
-    return mp.binomial(n, k)
-
-
-def jacobi_moment_exact(k: int, A, B) -> mpf:
-    """Closed form of int_{-1}^1 t^k (1-t)^A (1+t)^B dt.
-
-    Finite beta-function sum (t = 1-2u); cancellation grows with k, so use
-    only for k well below the working digit count.
-    """
-    A, B = mpf(A), mpf(B)
-    total = mpf(0)
-    for i in range(k + 1):
-        total += _binomial(k, i) * (-2) ** i * mp.beta(A + i + 1, B + 1)
-    return mpf(2) ** (A + B + 1) * total

@@ -1,4 +1,4 @@
-"""Nikishin systems: generated measures, iterated kernel, bimoments.
+"""Nikishin systems: generated measures, the Cauchy-chain operator, the Gram.
 
 Indices follow the 1-based convention sigma_1..sigma_m throughout the public
 surface.  Every multi-level integral is a chain of single-level quadratures
@@ -8,9 +8,10 @@ level j +- 1, and `transform` contracts one against 1/(z - x) at a single
 point.  Both run in fixed-point integers at the working precision plus guard
 bits derived from the node sets, against a kernel matrix cached per adjacent
 pair and precision, and round once to working precision; moments
-(`power_sums`) and Gram entries are summed the same way.  The plain-mpf
-loops kept here (`s_hat`, `kernel_K`, the monomial bimoments) are the
-independent oracles the tests check the operator against.  The adapted
+(`power_sums`) and Gram entries are summed the same way.  `s_hat`, the
+generated transforms at a probe, is a plain mpf loop over the cached inner
+values; the mpf oracles the tests check the operator against (the iterated
+kernel and the monomial bimoments) are in tests/helpers.py.  The adapted
 Gram's one L*D*U (`BorderedLDU`) grows by bordering and serves both twins.
 """
 
@@ -188,8 +189,6 @@ class NikishinSystem:
         self.m = len(measures)
         self._inner_cache = {}
         self._shat_cache = {}
-        self._chain_cache = {}
-        self._bimoments = {}
         self._smoment_cache = {}
         self._basis_vals = {}
         self._basis_polys = {}
@@ -442,10 +441,6 @@ class NikishinSystem:
             acc += w * g / (z - x)
         return self._shat_cache.setdefault(key, acc)
 
-    def s_mass(self, j: int, k: int):
-        """Total mass of s_{j,k} (z * s_hat -> mass as z -> infinity)."""
-        return self.power_sums(j, self.inner_values(j, k), 1)[0]
-
     def s_moments(self, j: int, k: int, count: int):
         """Moments 0..count-1 of s_{j,k} (forward orientation, j <= k)."""
         if j > k:
@@ -459,105 +454,6 @@ class NikishinSystem:
             )
             self._smoment_cache[key] = have
         return self._smoment_cache[key][:count]
-
-    # -- iterated kernel ----------------------------------------------
-
-    def kernel_K(self, x1, xm):
-        """Iterated Cauchy kernel K(x1, xm), x1 in Delta_1, xm in Delta_m.
-
-        Needs m >= 2; computed by the forward chain over sigma_2..sigma_{m-1}
-        with denominators (x_j - x_{j+1}).
-        """
-        if self.m < 2:
-            raise SystemError_("kernel requires m >= 2")
-        x1, xm = mpf(x1), mpf(xm)
-        if not self.interval(1).contains(x1):
-            raise SupportError(f"x1={x1} not in Delta_1")
-        if not self.interval(self.m).contains(xm):
-            raise SupportError(f"xm={xm} not in Delta_{self.m}")
-        if self.m == 2:
-            return 1 / (x1 - xm)
-        # g_1 at sigma_2 nodes, then push through the chain
-        mu2 = self.measure(2)
-        g = [1 / (x1 - x) for x in mu2.nodes]
-        for j in range(2, self.m - 1):
-            mu = self.measure(j)
-            mu_next = self.measure(j + 1)
-            g = [
-                sum(
-                    (w * gv / (x - t) for x, w, gv in zip(mu.nodes, mu.weights, g)),
-                    mpf(0),
-                )
-                for t in mu_next.nodes
-            ]
-        mu = self.measure(self.m - 1)
-        return sum(
-            (w * gv / (x - xm) for x, w, gv in zip(mu.nodes, mu.weights, g)),
-            mpf(0),
-        )
-
-    # -- bimoments -----------------------------------------------------
-
-    def _chain_values(self, nu: int):
-        """Chain vector for the bimoment kernel at sigma_m's nodes.
-
-        h_1(x_2) = int x_1^nu dsigma_1 / (x_1 - x_2), pushed forward level by
-        level; for m == 1 there is no chain and the caller special-cases.
-        """
-        cached = self._chain_cache.get(nu)
-        if cached is not None:
-            return cached
-        mu1 = self.measure(1)
-        mu2 = self.measure(2)
-        h = [
-            sum(
-                (w * x**nu / (x - t) for x, w in zip(mu1.nodes, mu1.weights)),
-                mpf(0),
-            )
-            for t in mu2.nodes
-        ]
-        for j in range(2, self.m):
-            mu = self.measure(j)
-            mu_next = self.measure(j + 1)
-            h = [
-                sum(
-                    (w * hv / (x - t) for x, w, hv in zip(mu.nodes, mu.weights, h)),
-                    mpf(0),
-                )
-                for t in mu_next.nodes
-            ]
-        h = tuple(h)
-        return self._chain_cache.setdefault(nu, h)
-
-    def bimoment(self, nu: int, mu_idx: int):
-        """I_{nu,mu} = double integral of x_1^nu x_m^mu K(x_1,x_m).
-
-        For m == 1 the kernel degenerates and this is the (nu+mu)-th moment
-        of sigma_1, matching the one-measure orthogonality conditions.
-        """
-        if nu < 0 or mu_idx < 0:
-            raise ValueError("bimoment orders must be >= 0")
-        key = (nu, mu_idx)
-        cached = self._bimoments.get(key)
-        if cached is not None:
-            return cached
-        mum = self.measure(self.m)
-        if self.m == 1:
-            val = sum(
-                (w * x ** (nu + mu_idx) for x, w in zip(mum.nodes, mum.weights)),
-                mpf(0),
-            )
-        else:
-            h = self._chain_values(nu)
-            val = sum(
-                (
-                    w * x**mu_idx * hv
-                    for x, w, hv in zip(mum.nodes, mum.weights, h)
-                ),
-                mpf(0),
-            )
-        return self._bimoments.setdefault(key, val)
-
 
     # -- interval-adapted bases and the Gram form of the bimoments ------
     #

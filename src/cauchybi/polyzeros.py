@@ -197,10 +197,6 @@ class DiscreteMeasure:
             out.append(-total / (k + 1) if cells else total)
         return out
 
-    def moment(self, k: int) -> mpf:
-        """k-th moment (see `moments`)."""
-        return self.moments(k)[k]
-
     def rescaled_moments(self, c, d, K: int):
         """Moments 0..K after mapping [c, d] onto [-1, 1], cached by (c, d,
         K, precision) like the density jumps."""

@@ -10,8 +10,6 @@ between mpf and exact (mantissa, exponent) ints with the helpers below.
 
 from __future__ import annotations
 
-import contextlib
-
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, round_nearest
 
@@ -37,41 +35,6 @@ def _to_mpf(man, exp):
     return mp.make_mpf(from_man_exp(man, exp, mp.prec, round_nearest))
 
 
-def precision_bits() -> int:
-    return mp.prec
-
-
-def decimal_digits() -> int:
-    """Decimal digits carried by the current working precision."""
-    return mp.dps
-
-
-def tol(fraction: float = 0.5) -> mpf:
-    """Default tolerance 10^(-fraction * decimal_digits).
-
-    fraction=0.5 is the package-wide meaning of "to tolerance"; checkers
-    accept explicit overrides.
-    """
-    return mpf(10) ** (-int(mp.dps * fraction))
-
-
-@contextlib.contextmanager
-def working_precision(bits: int):
-    """Temporarily switch the global precision."""
-    old = mp.prec
-    set_precision(bits)
-    try:
-        yield
-    finally:
-        mp.prec = old
-
-
-@contextlib.contextmanager
-def extra_precision(factor: int = 2):
-    """Temporarily multiply the working precision (residual accumulation)."""
-    old = mp.prec
-    mp.prec = old * factor
-    try:
-        yield
-    finally:
-        mp.prec = old
+def tol() -> mpf:
+    """The package-wide meaning of "to tolerance": 10^-(d // 2), d = mp.dps."""
+    return mpf(10) ** -(mp.dps // 2)

@@ -9,7 +9,6 @@ import pytest
 from mpmath import mpf
 
 from cauchybi import (
-    DEFAULT_PRECISION_BITS,
     lebesgue,
     make_predictor,
     make_system,
@@ -18,6 +17,7 @@ from cauchybi import (
     solve_hp_vector,
     solve_reversed,
 )
+from cauchybi.precision import DEFAULT_PRECISION_BITS
 
 M3_INTERVALS = ((0, 1), ("1.15", "2.15"), ("2.3", "3.3"))
 M3_NODES = 160

@@ -9,15 +9,12 @@ from mpmath import mp, mpc, mpf
 
 from cauchybi import (
     biorthogonality_matrix,
-    combined_potential,
     default_probes,
     empirical_tables,
-    equilibrium_constants,
     form_identity_residual,
     form_ratio_prediction,
     lebesgue,
     make_system,
-    nikishin_matrix,
     set_precision,
     solve_equilibrium,
     solve_hp_vector,
@@ -27,6 +24,7 @@ from cauchybi.polyzeros import counting_measure, moment_distance
 from cauchybi.precision import tol
 
 from conftest import HI_BITS, M3_INTERVALS, M3_NODES
+from helpers import combined_potential
 
 
 def _report(num, name, ok, detail):
@@ -82,14 +80,12 @@ def test_criterion_1_classical_sanity(s1_solutions, eq_s1):
     lim = (2 + mp.sqrt(3)) / 2
     ratio = abs(s1_solutions[41].Q(mpf(2)) / s1_solutions[40].Q(mpf(2)))
     ratio_gap = abs(ratio - lim)
-    om, _ = equilibrium_constants(eq_s1)
-    omega_gap = abs(om[0] - mp.log(2))
-    C = nikishin_matrix(1)
+    omega_gap = abs(eq_s1.omega_prime[0] - mp.log(2))
     # interior support grid: the discretized density's potential converges
     # non-uniformly at the support endpoints (the limit density is unbounded
     # there), so the constancy check samples strictly inside.
     pot_dev = max(
-        abs(combined_potential(eq_s1, C, 1, mpf(-1) + mpf(2) * i / 20) - mp.log(2))
+        abs(combined_potential(eq_s1, 1, mpf(-1) + mpf(2) * i / 20) - mp.log(2))
         for i in range(1, 20)
     )
     ok = ratio_gap <= mpf("1e-3") and omega_gap <= mpf("1e-6") and pot_dev <= mpf("1e-4")
@@ -175,7 +171,7 @@ def test_criterion_3_form_identities(
             for j in range(sys_obj.m):
                 for z in probes:
                     worst = max(
-                        worst, form_identity_residual(sol, j, z, relative=True)
+                        worst, form_identity_residual(sol, j, z)
                     )
     ok = worst <= thresh
     _report(

@@ -6,15 +6,17 @@ from mpmath import mp, mpf, mpc
 from cauchybi import (
     F_ratio_modulus,
     Polynomial,
-    consecutive_form_ratio_prediction,
     default_probes,
     empirical_tables,
     form_ratio_prediction,
+    lebesgue,
     make_predictor,
+    make_system,
     nth_root_prediction,
     rate_prediction,
-    reversed_predictions,
+    solve_hp_vector,
 )
+from cauchybi import polyzeros
 from cauchybi.asymptotics import DomainError, empirical_K, table_to_csv, table_to_json
 from cauchybi.measures import Interval
 from helpers import Qnj
@@ -25,11 +27,15 @@ def pred_s1(eq_s1):
     return make_predictor(eq_s1)
 
 
+def padded_gammas(pred):
+    """gamma_0..gamma_{m+1}, with gamma_0 = gamma_{m+1} = 0."""
+    return (0, *pred.gammas, 0)
+
+
 def test_m1_gamma_and_kappa(pred_s1):
     # single interval [-1,1]: gamma_1 = omega'_1 = log 2, kappa_1 = 2
-    assert abs(pred_s1.gamma(1) - mp.log(2)) < mpf("1e-5")
+    assert abs(pred_s1.gammas[0] - mp.log(2)) < mpf("1e-5")
     assert abs(pred_s1.kappas[0] - 2) < mpf("1e-4")
-    assert pred_s1.gamma(0) == 0 and pred_s1.gamma(2) == 0
 
 
 def test_m1_ratio_limit_at_two(pred_s1):
@@ -39,30 +45,29 @@ def test_m1_ratio_limit_at_two(pred_s1):
 
 
 def test_m1_consecutive_leading_ratio(pred_s1):
-    # normalizing-constant ratio 1/(2(2+sqrt(3))) at level 0
-    v = consecutive_form_ratio_prediction(pred_s1, 0, mpf(2))
+    # normalizing-constant ratio 1/(2(2+sqrt(3))) at level 0: the limit of
+    # |A_{n+1,0}/A_{n,0}|, which is the n-th root limit
+    v = nth_root_prediction(pred_s1, 0, mpf(2))
     exact = 1 / (2 * (2 + mp.sqrt(3)))
     assert abs(v - exact) < mpf("1e-4") * exact
 
 
 def test_gamma_solves_tridiagonal_system(pred_s2):
-    m = pred_s2.m
-    for k in range(1, m + 1):
+    g = padded_gammas(pred_s2)
+    for k in range(1, pred_s2.m + 1):
         resid = (
-            2 * pred_s2.gamma(k)
-            - pred_s2.gamma(k - 1)
-            - pred_s2.gamma(k + 1)
+            2 * g[k]
+            - g[k - 1]
+            - g[k + 1]
             - 2 * pred_s2.equilibrium.omega_prime[k - 1]
         )
         assert abs(resid) < mpf("1e-25")
 
 
 def test_kappa_consistency(pred_s2):
+    g = padded_gammas(pred_s2)
     for k in range(1, pred_s2.m + 1):
-        expected = mp.exp(
-            pred_s2.gamma(k)
-            - (pred_s2.gamma(k - 1) + pred_s2.gamma(k + 1)) / 2
-        )
+        expected = mp.exp(g[k] - (g[k - 1] + g[k + 1]) / 2)
         assert abs(pred_s2.kappas[k - 1] - expected) < mpf("1e-25") * expected
 
 
@@ -93,14 +98,6 @@ def test_rate_prediction_below_one(pred_s2):
         assert rate_prediction(pred_s2, z) < 1
 
 
-def test_reversed_prediction_mirrors_levels(pred_s2):
-    z = mpf(-2)
-    assert (
-        abs(reversed_predictions(pred_s2, 1, z) - F_ratio_modulus(pred_s2, 2, z))
-        == 0
-    )
-
-
 def test_ratioQ_table_converges(s2_solutions, pred_s2):
     sols = [s2_solutions[n] for n in range(12)]
     probes = [mpf(-2), mpc("1.5", "1.5")]
@@ -115,6 +112,20 @@ def test_leading_table_converges(s2_solutions, pred_s2):
     rows = empirical_tables(sols, [], "leading", pred_s2)
     last = [r for r in rows if r["n"] == 10]
     assert last and all(r["rel_gap"] < mpf("0.05") for r in last)
+
+
+def test_tables_bracket_zeros_by_previous_degree(monkeypatch, pred_s2):
+    # a fresh family with no zeros found yet: the tables that read zeros
+    # bracket each degree's by the previous degree's, not by a grid scan
+    system = make_system([lebesgue(0, 1), lebesgue(2, 3)])
+    sols = [solve_hp_vector(system, n) for n in range(9)]
+
+    def no_scan(*args):
+        raise AssertionError("grid scan used although the zeros below interlace")
+
+    monkeypatch.setattr(polyzeros, "_scan_sign_changes", no_scan)
+    for which in ("ratioQ", "leading"):
+        assert empirical_tables(sols, [mpf(-2)], which, pred_s2)
 
 
 def test_empirical_K_positive_decreasing(s2_solutions):

@@ -79,6 +79,13 @@ def test_low_precision_rejected(tmp_path):
     assert main(["solve-hp", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("cells", [0, -3])
+def test_nonpositive_equilibrium_cells_rejected(tmp_path, capsys, cells):
+    doc = dict(M1_CONFIG, equilibrium={"cells": cells})
+    assert main(["solve-eq", "--config", write_config(tmp_path, doc)]) == 2
+    assert "equilibrium.cells must be >= 1" in capsys.readouterr().err
+
+
 def test_rate_table_rejected_for_m1(tmp_path):
     cfg = write_config(tmp_path, M1_CONFIG)
     assert main(["tables", "--config", cfg, "--which", "rate"]) == 2
@@ -151,6 +158,13 @@ def test_solve_eq_writes_solution(tmp_path):
     assert main(["solve-eq", "--config", cfg]) == 0
     doc = json.loads((tmp_path / "out" / "equilibrium.json").read_text())
     assert len(doc["lambdas"]) == 1
+
+
+def test_solve_eq_writes_no_reversed_equilibrium(tmp_path):
+    # verify re-solves the reversed problem itself; no command reads a file
+    cfg = write_config(tmp_path, dict(S2_CONFIG, suites=["reversal-symmetry"]))
+    assert main(["solve-eq", "--config", cfg]) == 0
+    assert sorted(os.listdir(tmp_path / "out")) == ["equilibrium.json", "manifest.json"]
 
 
 def test_verify_all_suites_pass_s2(tmp_path, capsys):

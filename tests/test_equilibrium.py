@@ -1,49 +1,25 @@
-"""Vector equilibrium problem: interaction matrices, solver, potentials."""
+"""Vector equilibrium problem: solver, potentials, serialization."""
 
 import pytest
 from mpmath import mp, mpf
 
-from cauchybi import (
-    EquilibriumError,
-    InteractionMatrix,
-    Interval,
-    combined_potential,
-    equilibrium_constants,
-    moment_distance,
-    nikishin_matrix,
-    solve_equilibrium,
-)
+from cauchybi import Interval, moment_distance, solve_equilibrium
 from cauchybi.equilibrium import solution_from_json, solution_to_json
-
-
-def test_nikishin_matrix_structure():
-    C = nikishin_matrix(3)
-    assert C.m == 3
-    for j in range(3):
-        assert C[j, j] == 1
-    assert C[0, 1] == C[1, 0] == mpf(-1) / 2
-    assert C[0, 2] == 0
-
-
-def test_interaction_matrix_requires_positive_definite():
-    with pytest.raises(ValueError):
-        InteractionMatrix(((mpf(1), mpf(2)), (mpf(2), mpf(1))))
+from helpers import combined_potential
 
 
 def test_m1_recovers_arcsine_facts(eq_s1):
     # single interval [-1,1]: omega' = log 2 (capacity 1/2), unit mass
-    omega_prime, omega = equilibrium_constants(eq_s1)
-    assert abs(omega_prime[0] - mp.log(2)) < mpf("1e-6")
+    assert abs(eq_s1.omega_prime[0] - mp.log(2)) < mpf("1e-6")
     lam = eq_s1.lambdas[0]
     assert lam.normalized
     # symmetric measure: odd moment vanishes to solver tolerance
-    assert abs(lam.moment(1)) < mpf("1e-8")
+    assert abs(lam.moments(1)[1]) < mpf("1e-8")
 
 
 def test_m1_potential_constant_inside(eq_s1):
-    C = nikishin_matrix(1)
     devs = [
-        abs(combined_potential(eq_s1, C, 1, mpf(-1) + mpf(2) * i / 20) - mp.log(2))
+        abs(combined_potential(eq_s1, 1, mpf(-1) + mpf(2) * i / 20) - mp.log(2))
         for i in range(1, 20)
     ]
     assert max(devs) < mpf("1e-4")
@@ -52,7 +28,7 @@ def test_m1_potential_constant_inside(eq_s1):
 def test_s2_masses_and_levels(eq_s2):
     for lam in eq_s2.lambdas:
         assert lam.normalized
-    omega_prime, omega = equilibrium_constants(eq_s2)
+    omega_prime, omega = eq_s2.omega_prime, eq_s2.omega_cum
     assert len(omega_prime) == 2
     # backward cumulative sums
     assert abs(omega[1] - omega_prime[1]) < mpf("1e-20")
@@ -61,11 +37,10 @@ def test_s2_masses_and_levels(eq_s2):
 
 def test_s2_variational_conditions(eq_s2):
     # W_j = omega'_j on supp(lambda_j): spot-check at interior cell points
-    C = eq_s2.C
     for j in (1, 2):
         lam = eq_s2.lambdas[j - 1]
         pts = lam.points[len(lam.points) // 4 : -len(lam.points) // 4 : 64]
-        levels = [combined_potential(eq_s2, C, j, x) for x in pts]
+        levels = [combined_potential(eq_s2, j, x) for x in pts]
         target = eq_s2.omega_prime[j - 1]
         assert max(abs(v - target) for v in levels) < mpf("1e-4")
 

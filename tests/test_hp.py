@@ -7,19 +7,22 @@ from cauchybi import (
     HPSolution,
     HPSolverError,
     Polynomial,
-    biorthogonality_entry,
-    biorthogonality_quadrature,
-    eval_form,
+    biorthogonality_matrix,
     form_identity_residual,
     lebesgue,
     make_system,
     solve_hp_vector,
     solve_Qn,
-    zeros_of_form,
 )
 from cauchybi import polyzeros
 from cauchybi.hp import solution_from_json, solution_to_json
-from helpers import Qnj
+from helpers import Qnj, biorthogonality_entry, eval_form_direct
+
+
+def biorthogonality_pair(system, P, Q):
+    """(entry, scale) of one P against one Q."""
+    entries, scales = biorthogonality_matrix(system, [P], [Q])
+    return entries[0][0], scales[0][0]
 
 
 def test_Q0_is_one(s2_system):
@@ -87,22 +90,22 @@ def test_chain_and_direct_evaluation_agree(s2_solutions):
     sol = s2_solutions[6]
     for z in (mpf(-2), mpc("1.5", "1.5")):
         for j in (0, 1):
-            a = sol.eval_form(j, z, route="chain")
-            b = sol.eval_form(j, z, route="direct")
+            a = sol.eval_form(j, z)
+            b = eval_form_direct(sol, j, z)
             assert abs(a - b) <= mpf(10) ** (-60) * max(1, abs(a))
 
 
 def test_form_at_top_level_is_polynomial(s2_solutions):
     sol = s2_solutions[4]
     z = mpf(-3)
-    assert eval_form(sol, 2, z) == sol.a[2](z)
+    assert sol.eval_form(2, z) == sol.a[2](z)
 
 
 def test_top_form_decay_at_infinity(s2_solutions):
     # z^{n+1} A_{n,0}(z) stays bounded as z grows
     sol = s2_solutions[4]
     vals = [
-        abs(eval_form(sol, 0, mpf(R)) * mpf(R) ** 5) for R in (10, 100, 1000)
+        abs(sol.eval_form(0, mpf(R)) * mpf(R) ** 5) for R in (10, 100, 1000)
     ]
     assert max(vals) < 10 * vals[0] + 1
 
@@ -110,7 +113,7 @@ def test_top_form_decay_at_infinity(s2_solutions):
 def test_zeros_of_forms_located_and_simple(s2_solutions):
     sol = s2_solutions[8]
     for j, (lo, hi) in ((1, (0, 1)), (2, (2, 3))):
-        zs = zeros_of_form(sol, j)
+        zs = sol.zeros(j)
         assert len(zs) == 8
         assert all(mpf(lo) < z < mpf(hi) for z in zs)
         gaps = [b - a for a, b in zip(zs, zs[1:])]
@@ -130,7 +133,7 @@ def test_biorthogonality_small_matrix(s2_system, s2_solutions, s2_reversed_solut
         Q = s2_solutions[n].Q
         for k in range(n_max + 1):
             P = s2_reversed_solutions[k].Q
-            e, scale = biorthogonality_quadrature(s2_system, P, Q)
+            e, scale = biorthogonality_pair(s2_system, P, Q)
             if k != n:
                 assert abs(e) <= mpf(10) ** (-120) * scale
             else:
@@ -140,21 +143,19 @@ def test_biorthogonality_small_matrix(s2_system, s2_solutions, s2_reversed_solut
 def test_biorthogonality_matrix_matches_pairwise(
     s2_system, s2_solutions, s2_reversed_solutions
 ):
-    from cauchybi import biorthogonality_matrix
-
     Ps = [s2_reversed_solutions[k].Q for k in range(4)]
     Qs = [s2_solutions[n].Q for n in range(4)]
     entries, scales = biorthogonality_matrix(s2_system, Ps, Qs)
     for i in (0, 3):
         for j in (1, 2):
-            e, s = biorthogonality_quadrature(s2_system, Ps[i], Qs[j])
+            e, s = biorthogonality_pair(s2_system, Ps[i], Qs[j])
             assert abs(entries[i][j] - e) <= mpf(10) ** (-140) * s
             assert scales[i][j] == s
 
 
 def test_quadrature_entry_matches_bimoment_route(s2_system, s2_solutions, s2_reversed_solutions):
     P, Q = s2_reversed_solutions[4].Q, s2_solutions[4].Q
-    e_quad, _ = biorthogonality_quadrature(s2_system, P, Q)
+    e_quad, _ = biorthogonality_pair(s2_system, P, Q)
     e_bim = biorthogonality_entry(s2_system, P, Q)
     assert abs(e_quad - e_bim) < mpf(10) ** (-100) * abs(e_bim)
 
@@ -163,13 +164,13 @@ def test_form_identity_residuals_small(s2_solutions):
     sol = s2_solutions[10]
     for j in (0, 1):
         for z in (mpf(-2), mpf(5), mpc(1, 2)):
-            assert form_identity_residual(sol, j, z, relative=True) < mpf(10) ** (-70)
+            assert form_identity_residual(sol, j, z) < mpf(10) ** (-70)
 
 
 def test_form_identity_m3(m3_solutions):
     sol = m3_solutions[8]
     for j in (0, 1, 2):
-        r = form_identity_residual(sol, j, mpf(-2), relative=True)
+        r = form_identity_residual(sol, j, mpf(-2))
         assert r < mpf(10) ** (-70)
 
 
@@ -258,7 +259,9 @@ def _fresh(sol):
 def test_interlacing_brackets_match_scan_zeros(request, monkeypatch, family, top):
     sols = request.getfixturevalue(family)
     scans = {
-        (n, j): sols[n].zeros(j)  # the fixtures' cached grid-scan zeros
+        # the fixtures' cached zeros: grid scans, unless an estimator table
+        # over the family bracketed them first
+        (n, j): sols[n].zeros(j)
         for n in range(1, top + 1)
         for j in range(1, sols[n].m + 1)
     }

@@ -7,7 +7,6 @@ from cauchybi import HPSolverError, Interval, NikishinSystem, WeightSpec, lebesg
 from cauchybi import make_measure, make_system, solve_hp_vector, solve_reversed
 from cauchybi.hp import solve
 from cauchybi.nikishin import BorderedLDU
-from cauchybi.precision import extra_precision
 
 
 def hilbert(i, j):
@@ -77,7 +76,7 @@ def test_condition_estimate_hilbert_order_of_magnitude():
     # precision; for the equilibrated Hilbert(8) it is about 1.04e10
     f = BorderedLDU(hilbert)
     _, cond, _ = f.solve(8)
-    with extra_precision(2):
+    with mp.workprec(2 * mp.prec):
         want = equilibrated_kappa1([[hilbert(i, j) for j in range(8)] for i in range(8)])
     assert abs(cond - want) <= mpf("1e-20") * want
     assert mpf("1e9") < cond < mpf("1e11")
@@ -89,7 +88,7 @@ def test_hilbert_solve_backward_stable():
     n = 10
     x, _, residual = BorderedLDU(hilbert).solve(n)
     assert residual < 2 ** -(mp.prec - 8)
-    with extra_precision(2):
+    with mp.workprec(2 * mp.prec):
         A = mp.matrix([[hilbert(i, j) for j in range(n)] for i in range(n)])
         want = mp.lu_solve(A, mp.matrix([-hilbert(i, n) for i in range(n)]))
         err = max(abs(a - b) / abs(b) for a, b in zip(x, want))
@@ -118,7 +117,7 @@ def test_every_degree_backward_stable(request, family):
     for n, sol in sols.items():
         assert sol.diagnostics["solve_residual"] <= bound, n
         ch = (*sol.c, mpf(1))
-        with extra_precision(2):
+        with mp.workprec(2 * mp.prec):
             for row in G[:n]:
                 num = abs(mp.fsum(g * c for g, c in zip(row, ch)))
                 den = mp.fsum(abs(g * c) for g, c in zip(row, ch))
@@ -133,7 +132,7 @@ def test_cond_is_kappa1_of_equilibrated_block(request, family, n):
     sol = request.getfixturevalue(family)[n]
     sys_ = sol.system
     block = [[sys_.gram(nu, mu) for mu in range(n)] for nu in range(n)]
-    with extra_precision(2):
+    with mp.workprec(2 * mp.prec):
         want = equilibrated_kappa1(block)
     assert abs(sol.diagnostics["cond"] - want) <= mpf("1e-6") * want
 

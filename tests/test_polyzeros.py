@@ -91,7 +91,7 @@ def test_cell_measure_moments_exact():
     # uniform density on [0,1] as a single cell: moment k = 1/(k+1)
     mu = DiscreteMeasure((mpf("0.5"),), (mpf(1),), cell_edges=(mpf(0), mpf(1)))
     for k in range(5):
-        assert abs(mu.moment(k) - mpf(1) / (k + 1)) < mpf(10) ** (-100)
+        assert abs(mu.moments(k)[k] - mpf(1) / (k + 1)) < mpf(10) ** (-100)
     # and in unequal cells, where the sum by parts over the edges cancels
     edges = (mpf(0), mpf("0.1"), mpf("0.35"), mpf("0.4"), mpf("0.8"), mpf(1))
     cells = tuple(zip(edges, edges[1:]))
@@ -102,7 +102,7 @@ def test_cell_measure_moments_exact():
     assert len(moments) == 21
     for k, m_k in enumerate(moments):
         assert abs(m_k - mpf(1) / (k + 1)) <= mpf(2) ** -(mp.prec - 8)
-        assert mu.moment(k) == m_k
+        assert mu.moments(k)[k] == m_k
 
 
 def test_log_potential_atoms():

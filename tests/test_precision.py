@@ -3,26 +3,18 @@
 import pytest
 from mpmath import mp, mpf
 
-from cauchybi import (
-    DEFAULT_PRECISION_BITS,
-    decimal_digits,
-    extra_precision,
-    precision_bits,
-    set_precision,
-    tol,
-    working_precision,
-)
+from cauchybi import set_precision, tol
+from cauchybi.precision import DEFAULT_PRECISION_BITS
 
 
 def test_default_is_512():
     assert DEFAULT_PRECISION_BITS == 512
-    assert precision_bits() == 512
+    assert mp.prec == 512
 
 
 def test_set_and_read_back():
     set_precision(256)
-    assert precision_bits() == 256
-    assert decimal_digits() == mp.dps
+    assert mp.prec == 256
 
 
 def test_minimum_enforced():
@@ -32,23 +24,7 @@ def test_minimum_enforced():
 
 def test_tol_is_half_digits():
     set_precision(512)
-    t = tol()
-    assert t == mpf(10) ** (-(mp.dps // 2))
-    assert tol(fraction=1.0) < t < tol(fraction=0.25)
-
-
-def test_working_precision_restores():
-    set_precision(512)
-    with working_precision(128):
-        assert precision_bits() == 128
-    assert precision_bits() == 512
-
-
-def test_extra_precision_multiplies_and_restores():
-    set_precision(128)
-    with extra_precision(2):
-        assert precision_bits() == 256
-    assert precision_bits() == 128
+    assert tol() == mpf(10) ** (-(mp.dps // 2))
 
 
 def test_precision_changes_arithmetic_granularity():
