@@ -259,9 +259,9 @@ def _fresh(sol):
 def test_interlacing_brackets_match_scan_zeros(request, monkeypatch, family, top):
     sols = request.getfixturevalue(family)
     scans = {
-        # the fixtures' cached zeros: grid scans, unless an estimator table
-        # over the family bracketed them first
-        (n, j): sols[n].zeros(j)
+        # a grid scan of each degree; the fixtures' cached zeros may have
+        # been bracketed already by an estimator table over the family
+        (n, j): _fresh(sols[n]).zeros(j)
         for n in range(1, top + 1)
         for j in range(1, sols[n].m + 1)
     }
