@@ -111,6 +111,12 @@ def load_config(path: str) -> RunConfig:
         eq_cells = int(eq.get("cells", 256))
         if eq_cells < 1:
             raise ConfigError(f"equilibrium.cells must be >= 1, got {eq_cells}")
+        eq_tol = mpf(eq.get("tol", "1e-8"))
+        if not eq_tol > 0:
+            raise ConfigError(f"equilibrium.tol must be > 0, got {eq_tol}")
+        eq_max_iter = int(eq.get("max_iter", 500))
+        if eq_max_iter < 1:
+            raise ConfigError(f"equilibrium.max_iter must be >= 1, got {eq_max_iter}")
         probes = [mpmathify(p) for p in raw.get("probes", [])]
         cfg = RunConfig(
             measures=measures,
@@ -118,8 +124,8 @@ def load_config(path: str) -> RunConfig:
             precision_bits=bits,
             quad_nodes=int(raw.get("quad_nodes", 128)),
             eq_cells=eq_cells,
-            eq_tol=mpf(eq.get("tol", "1e-8")),
-            eq_max_iter=int(eq.get("max_iter", 500)),
+            eq_tol=eq_tol,
+            eq_max_iter=eq_max_iter,
             probes=probes,
             outputs=raw.get("outputs", "out"),
             suites=list(raw.get("suites", [])),

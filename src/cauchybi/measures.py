@@ -8,7 +8,8 @@ polynomial factor folded into the weights.
 The rule on [-1, 1] comes from Newton's method on the orthonormal Jacobi
 recurrence, run in fixed-point integers with 32 guard bits: one pass gives
 p_N, p_N' and the Christoffel sum of p_0^2..p_{N-1}^2, whose reciprocal is
-the weight.  Newton starts from scipy's double-precision nodes and climbs a
+the weight.  Newton starts from numpy Golub-Welsch seeds (the float64
+eigenvalues of the Jacobi matrix of the same recurrence) and climbs a
 precision ladder (96, 192, 384, ... bits) to the working precision, where it
 takes two steps; a node whose last step is not negligible is an error.  For
 alpha = beta only the nodes left of 0 are solved and the rest mirrored (the
@@ -23,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from mpmath import mp, mpf, mpc
-from scipy.special import roots_jacobi
 
 from .precision import _man_exp, _to_mpf
 
@@ -168,6 +168,16 @@ def jacobi_recurrence(n: int, A, B):
     return a, b
 
 
+def _golub_welsch_seeds(a, b, n: int):
+    """Double-precision Gauss nodes in increasing order: the eigenvalues of
+    the symmetric n x n Jacobi matrix of the monic recurrence (a, b), with
+    a[:n] on the diagonal and sqrt(b[1:n]) beside it (Golub & Welsch,
+    Math. Comp. 23, 1969)."""
+    off = np.sqrt([float(x) for x in b[1:n]])
+    J = np.diag([float(x) for x in a[:n]]) + np.diag(off, 1) + np.diag(off, -1)
+    return np.linalg.eigvalsh(J)
+
+
 # [-1, 1] rules by (N, A, B, precision): every level, system and command of
 # a process that asks for the same weight and node count shares one
 _RULES = {}
@@ -201,8 +211,8 @@ def _orthonormal_pass(T: int, p0: int, coeffs, bits: int):
 def gauss_jacobi_rule(n: int, A, B):
     """Gauss nodes/weights for (1-t)^A (1+t)^B on [-1, 1] at working precision.
 
-    Newton on the orthonormal recurrence in fixed point from scipy's
-    double-precision nodes; each weight is the reciprocal Christoffel sum of
+    Newton on the orthonormal recurrence in fixed point from numpy
+    Golub-Welsch seeds; each weight is the reciprocal Christoffel sum of
     the last pass, positive by construction.  Cached by (n, A, B, precision).
     """
     if n < 1:
@@ -228,7 +238,7 @@ def gauss_jacobi_rule(n: int, A, B):
         bits: ([tuple(c >> (top - bits) for c in row) for row in rows], p0 >> (top - bits))
         for bits in ladder
     }
-    seeds = sorted(roots_jacobi(n, float(A), float(B))[0])
+    seeds = _golub_welsch_seeds(a, b, n)
     symmetric = A == B
     if symmetric:
         seeds = seeds[: n // 2]

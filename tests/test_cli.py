@@ -86,6 +86,20 @@ def test_nonpositive_equilibrium_cells_rejected(tmp_path, capsys, cells):
     assert "equilibrium.cells must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["0", "-1"])
+def test_nonpositive_equilibrium_tol_rejected(tmp_path, capsys, tol):
+    doc = dict(M1_CONFIG, equilibrium={"cells": 128, "tol": tol})
+    assert main(["solve-eq", "--config", write_config(tmp_path, doc)]) == 2
+    assert "equilibrium.tol must be > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("max_iter", [0, -5])
+def test_nonpositive_equilibrium_max_iter_rejected(tmp_path, capsys, max_iter):
+    doc = dict(M1_CONFIG, equilibrium={"cells": 128, "max_iter": max_iter})
+    assert main(["solve-eq", "--config", write_config(tmp_path, doc)]) == 2
+    assert "equilibrium.max_iter must be >= 1" in capsys.readouterr().err
+
+
 def test_rate_table_rejected_for_m1(tmp_path):
     cfg = write_config(tmp_path, M1_CONFIG)
     assert main(["tables", "--config", cfg, "--which", "rate"]) == 2

@@ -1,5 +1,11 @@
 """Interval measures, Gauss-Jacobi rules, moments, Cauchy transforms."""
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc
@@ -177,16 +183,16 @@ def test_gauss_jacobi_rule_cached_per_precision():
 
 
 def _with_seeds(monkeypatch, edit):
-    """Hand the rule builder edited scipy seeds, with an empty rule cache."""
-    roots = measures.roots_jacobi
+    """Hand the rule builder edited numpy Golub-Welsch seeds, with an empty
+    rule cache."""
+    seeds = measures._golub_welsch_seeds
 
-    def seeded(n, a, b):
-        x, w = roots(n, a, b)
-        x = x.copy()
+    def seeded(a, b, n):
+        x = seeds(a, b, n).copy()
         edit(x)
-        return x, w
+        return x
 
-    monkeypatch.setattr(measures, "roots_jacobi", seeded)
+    monkeypatch.setattr(measures, "_golub_welsch_seeds", seeded)
     monkeypatch.setattr(measures, "_RULES", {})
 
 
@@ -206,3 +212,51 @@ def test_quadrature_seed_on_neighbour_root_raises(monkeypatch):
     _with_seeds(monkeypatch, twin_seed)
     with pytest.raises(MeasureError, match="not strictly increasing"):
         make_measure(Interval(0, 1), WeightSpec(alpha="0.25"), node_count=16)
+
+
+@pytest.mark.parametrize(
+    "n, A, B",
+    [(1, 0, 0), (2, "-0.5", "0.5"), (63, "0.5", "0.5"), (128, "-0.9", 3), (192, 0, 0)],
+)
+def test_golub_welsch_seeds_near_finished_nodes(n, A, B):
+    # Newton's first rung works at 96 bits and needs seeds this close
+    A, B = mpf(A), mpf(B)
+    nodes, _ = gauss_jacobi_rule(n, A, B)
+    a, b = measures.jacobi_recurrence(n, A, B)
+    seeds = measures._golub_welsch_seeds(a, b, n)
+    assert len(seeds) == n
+    assert max(abs(float(x - s)) for x, s in zip(nodes, seeds)) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "n, A, B, digest",
+    [
+        (64, "-0.5", "-0.5",
+         "469f85e2b50a1af11ea4b032793ecdf59bbd7c7039d7a4984d4375be53311951"),
+        (128, "-0.9", "3",
+         "1bc80e79a793df5403c6b22178c8aafb47a6e407dede82ddfae2fbbca0eb3694"),
+    ],
+)
+def test_gauss_jacobi_rule_bits_pinned(n, A, B, digest):
+    # sha256 of the node and weight reprs at 512 bits, as the rules were
+    # when scipy's roots_jacobi seeded Newton: a new seed route must not
+    # move a single bit
+    set_precision(512)
+    nodes, weights = gauss_jacobi_rule(n, mpf(A), mpf(B))
+    text = "\n".join(repr(v) for v in nodes + weights)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_import_pulls_in_no_scipy():
+    code = (
+        "import sys, cauchybi, cauchybi.cli; "
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=Path(__file__).resolve().parent.parent,
+        env=dict(os.environ, PYTHONPATH="src"),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
