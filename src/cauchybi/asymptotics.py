@@ -17,6 +17,7 @@ from mpmath import mp, mpf, mpc, exp
 from .equilibrium import EquilibriumSolution
 from .hp import HPSolution
 from .polyzeros import log_potential
+from .precision import _probe_point
 
 
 class DomainError(ValueError):
@@ -87,9 +88,9 @@ def make_predictor(eq: EquilibriumSolution) -> AsymptoticPredictor:
 
 
 def _check_off(pred: AsymptoticPredictor, z, levels):
-    if isinstance(z, (mpc, complex)) and mpc(z).imag != 0:
+    x = _probe_point(z)
+    if isinstance(x, mpc):
         return
-    x = mpc(z).real if isinstance(z, (mpc, complex)) else mpf(z)
     for k in levels:
         if 1 <= k <= pred.m and pred.equilibrium.intervals[k - 1].contains(x):
             raise DomainError(f"probe z={x} lies on interval {k}")

@@ -247,19 +247,10 @@ def _get_solutions(cfg: RunConfig, sys_obj, kind: str, force: bool):
 
 
 def cmd_solve_hp(cfg: RunConfig, force: bool = False) -> int:
-    try:
-        fwd_sys = cfg.build_system()
-        rev_sys = fwd_sys.reversed()
-    except (MeasureError, SystemError_) as ex:
-        print(f"validation error: {ex}", file=sys.stderr)
-        return EXIT_VALIDATION
+    fwd_sys = cfg.build_system()
     _claim_outputs(cfg, force)
-    try:
-        fwd = _get_solutions(cfg, fwd_sys, "forward", force)
-        rev = _get_solutions(cfg, rev_sys, "reversed", force)
-    except (hp.HPSolverError, polyzeros.RootCountError) as ex:
-        print(f"solver failure: {ex}", file=sys.stderr)
-        return EXIT_SOLVER
+    fwd = _get_solutions(cfg, fwd_sys, "forward", force)
+    rev = _get_solutions(cfg, fwd_sys.reversed(), "reversed", force)
     log = {
         "n_max": cfg.n_max,
         "condition_estimates": {
@@ -291,13 +282,9 @@ def _solve_eq(cfg: RunConfig, reverse: bool = False):
 def cmd_solve_equilibrium(cfg: RunConfig, force: bool = False) -> int:
     _claim_outputs(cfg, force)
     path = os.path.join(cfg.outputs, "equilibrium.json")
-    try:
-        if force or not os.path.exists(path):
-            sol = _solve_eq(cfg)
-            atomic_write(path, json.dumps(equilibrium.solution_to_json(sol), indent=1))
-    except equilibrium.EquilibriumError as ex:
-        print(f"solver failure: {ex}", file=sys.stderr)
-        return EXIT_SOLVER
+    if force or not os.path.exists(path):
+        sol = _solve_eq(cfg)
+        atomic_write(path, json.dumps(equilibrium.solution_to_json(sol), indent=1))
     print(f"equilibrium solution written to {path}")
     return EXIT_OK
 
@@ -325,8 +312,7 @@ def _suite_report(name, gaps, threshold):
     }
 
 
-def run_suites(cfg: RunConfig, suites, force: bool = False):
-    sys_obj = cfg.build_system()
+def run_suites(cfg: RunConfig, sys_obj: NikishinSystem, suites, force: bool = False):
     m = sys_obj.m
     fwd = _get_solutions(cfg, sys_obj, "forward", force)
     need_rev = any(
@@ -395,8 +381,9 @@ def run_suites(cfg: RunConfig, suites, force: bool = False):
         reports.append(_suite_report("form-identity", gaps, half_tol))
 
     if "weak-asymptotics" in suites:
+        # degree 0 has no zeros to count
         checkpoints = sorted(
-            {max(1, cfg.n_max // 4), cfg.n_max // 2, 3 * cfg.n_max // 4, cfg.n_max}
+            {cfg.n_max // 4, cfg.n_max // 2, 3 * cfg.n_max // 4, cfg.n_max} - {0}
         )
         gaps = []
         for sols, lams in ((fwd, eq.lambdas), (rev, tuple(reversed(eq.lambdas)))):
@@ -456,14 +443,10 @@ def cmd_verify(cfg: RunConfig, suites, force: bool = False) -> int:
     suites = list(suites) if suites else (cfg.suites or list(ALL_SUITES))
     for s in suites:
         if s not in ALL_SUITES:
-            print(f"validation error: unknown suite {s!r}", file=sys.stderr)
-            return EXIT_VALIDATION
+            raise ConfigError(f"unknown suite {s!r}")
+    sys_obj = cfg.build_system()
     _claim_outputs(cfg, force)
-    try:
-        reports = run_suites(cfg, suites, force=force)
-    except (hp.HPSolverError, polyzeros.RootCountError, equilibrium.EquilibriumError) as ex:
-        print(f"solver failure: {ex}", file=sys.stderr)
-        return EXIT_SOLVER
+    reports = run_suites(cfg, sys_obj, suites, force=force)
     atomic_write(
         os.path.join(cfg.outputs, "verify_report.json"),
         json.dumps(reports, indent=1),
@@ -481,21 +464,15 @@ def cmd_verify(cfg: RunConfig, suites, force: bool = False) -> int:
 
 def cmd_tables(cfg: RunConfig, which: str, force: bool = False) -> int:
     if which not in ("ratioQ", "nthroot", "rate", "formratio", "leading"):
-        print(f"validation error: unknown table {which!r}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ConfigError(f"unknown table {which!r}")
     sys_obj = cfg.build_system()
     if which == "rate" and sys_obj.m < 2:
-        print("validation error: rate table needs m >= 2", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ConfigError("rate table needs m >= 2")
     _claim_outputs(cfg, force)
-    try:
-        sols = _get_solutions(cfg, sys_obj, "forward", force)
-        eq = _load_or_solve_eq(cfg)
-        pred = asymptotics.make_predictor(eq)
-        rows = asymptotics.empirical_tables(sols, cfg.probes, which, pred)
-    except (hp.HPSolverError, polyzeros.RootCountError, equilibrium.EquilibriumError) as ex:
-        print(f"solver failure: {ex}", file=sys.stderr)
-        return EXIT_SOLVER
+    sols = _get_solutions(cfg, sys_obj, "forward", force)
+    eq = _load_or_solve_eq(cfg)
+    pred = asymptotics.make_predictor(eq)
+    rows = asymptotics.empirical_tables(sols, cfg.probes, which, pred)
     atomic_write(
         os.path.join(cfg.outputs, f"table_{which}.csv"),
         asymptotics.table_to_csv(rows),
@@ -540,12 +517,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-    except (ConfigError, MeasureError, SystemError_) as ex:
-        print(f"validation error: {ex}", file=sys.stderr)
-        return EXIT_VALIDATION
-    if args.out:
-        cfg.outputs = args.out
-    try:
+        if args.out:
+            cfg.outputs = args.out
         if args.command == "solve-hp":
             return cmd_solve_hp(cfg, force=args.force)
         if args.command == "solve-eq":
@@ -557,6 +530,9 @@ def main(argv=None) -> int:
     except (ConfigError, MeasureError, SystemError_) as ex:
         print(f"validation error: {ex}", file=sys.stderr)
         return EXIT_VALIDATION
+    except (hp.HPSolverError, polyzeros.RootCountError, equilibrium.EquilibriumError) as ex:
+        print(f"solver failure: {ex}", file=sys.stderr)
+        return EXIT_SOLVER
     return EXIT_VALIDATION
 
 

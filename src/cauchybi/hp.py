@@ -22,6 +22,7 @@ from .measures import SupportError
 from .nikishin import NikishinSystem
 from .poly import Polynomial
 from .polyzeros import bracketed_roots, real_roots
+from .precision import _probe_point
 
 
 class HPSolverError(ArithmeticError):
@@ -116,15 +117,13 @@ class HPSolution:
 
     def _chain(self, k: int):
         """Chain vector u_k at sigma_k's nodes: the iterated integral of
-        Q_n from level m down to level k."""
-        cached = self._chains.get(k)
-        if cached is not None:
-            return cached
-        if k == self.m:
-            vals = _adapted_values(self.system, self.c)
-        else:
-            (vals,) = self.system.push(k + 1, k, [self._chain(k + 1)])
-        return self._chains.setdefault(k, vals)
+        Q_n from level m down to level k, one walk extended as needed."""
+        if not self._chains:
+            self._chains[self.m] = _adapted_values(self.system, self.c)
+        low = min(self._chains)
+        if k < low:
+            self._chains.update(self.system.chain(low, k, self._chains[low]))
+        return self._chains[k]
 
     def eval_form(self, j: int, z, slope: bool = False):
         """A_{n,j}(z); j=m is the polynomial (-1)^m a_{n,m} = Q_n.
@@ -137,9 +136,8 @@ class HPSolution:
             raise IndexError(f"form index {j} out of 0..{self.m}")
         if j == self.m:
             return self.Q.value_and_slope(z) if slope else self.Q(z)
-        complex_z = isinstance(z, (mpc, complex)) and mpc(z).imag != 0
-        z = mpc(z) if complex_z else (mpc(z).real if isinstance(z, (mpc, complex)) else mpf(z))
-        if not complex_z and self.system.interval(j + 1).contains(z):
+        z = _probe_point(z)
+        if not isinstance(z, mpc) and self.system.interval(j + 1).contains(z):
             raise SupportError(f"z={z} lies on Delta_{j + 1}")
         blocks = self._blocks.setdefault(j + 1, {})
         return self.system.transform(j + 1, self._chain(j + 1), z, blocks, slope)
@@ -204,7 +202,8 @@ def solve_hp_vector(sys: NikishinSystem, n: int) -> HPSolution:
             acc = acc + Polynomial(tuple(sk * c for c in part))
         sj = 1 if (j + 1) % 2 == 0 else -1
         a[j] = acc.scale(mpf(sj))
-    chains, ua = _kernel_projection(sys, _adapted_values(sys, c))
+    chains = sys.chain(m, 1, _adapted_values(sys, c))
+    ua = sys.chain(m, 1, chains[m], absolute=True)[1]
     residuals, scale = _order_residuals(sys, chains[1], ua, n)
     diag = {"cond": info["condition"], "solve_residual": info["residual"]}
     diag.update(residuals=residuals, scale=scale)
@@ -214,23 +213,6 @@ def solve_hp_vector(sys: NikishinSystem, n: int) -> HPSolution:
 def solve_reversed(sys: NikishinSystem, n: int) -> HPSolution:
     """Hermite-Pade vector of the reversed chain; its Q is P_n."""
     return solve_hp_vector(sys.reversed(), n)
-
-
-def _kernel_projection(sys: NikishinSystem, u):
-    """Push Q's values u at sigma_m's nodes down the chain to sigma_1's.
-
-    Returns (chains, ua): chains[k] is the signed chain at sigma_k's nodes
-    for k = m..1 (an HPSolution's form vectors), and ua is the
-    absolute-value chain at sigma_1's nodes, the per-node cancellation mass.
-    """
-    m = sys.m
-    chains = {m: u}
-    ua = tuple(abs(v) for v in u)
-    for j in range(m - 1, 0, -1):
-        (u,) = sys.push(j + 1, j, [u])
-        (ua,) = sys.push(j + 1, j, [ua], absolute=True)
-        chains[j] = u
-    return chains, ua
 
 
 def biorthogonality_matrix(sys: NikishinSystem, Ps, Qs):
@@ -250,9 +232,10 @@ def biorthogonality_matrix(sys: NikishinSystem, Ps, Qs):
     scales = [[None] * len(Qs) for _ in Ps]
     q_nodes = sys.measure(sys.m).nodes
     for col, Q in enumerate(Qs):
-        chains, ua = _kernel_projection(sys, tuple(Q(x) for x in q_nodes))
+        u = tuple(Q(x) for x in q_nodes)
+        u1, ua = sys.chain(sys.m, 1, u)[1], sys.chain(sys.m, 1, u, absolute=True)[1]
         for row, (pv, pa) in enumerate(zip(p_vals, p_abs)):
-            entries[row][col] = sys.dot(1, pv, chains[1])
+            entries[row][col] = sys.dot(1, pv, u1)
             scales[row][col] = sys.dot(1, pa, ua)
     return entries, scales
 

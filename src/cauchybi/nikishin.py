@@ -8,11 +8,14 @@ level j +- 1, and `transform` contracts one against 1/(z - x) at a single
 point.  Both run in fixed-point integers at the working precision plus guard
 bits derived from the node sets, against a kernel matrix cached per adjacent
 pair and precision, and round once to working precision; moments
-(`power_sums`) and Gram entries are summed the same way.  `s_hat`, the
-generated transforms at a probe, is a plain mpf loop over the cached inner
-values; the mpf oracles the tests check the operator against (the iterated
-kernel and the monomial bimoments) are in tests/helpers.py.  The adapted
-Gram's one L*D*U (`BorderedLDU`) grows by bordering and serves both twins.
+(`power_sums`) and Gram entries are summed the same way.  `chain` is the
+one walk along the chain, one `push` per hop; the inner values of the
+generated measures, the Gram's chain vectors and the Hermite-Pade forms'
+chains are its walks, and `s_hat` contracts the inner values through
+`transform`.  The mpf oracles the tests check the operator against (the
+iterated kernel and the monomial bimoments) are in tests/helpers.py.  The
+adapted Gram's one L*D*U (`BorderedLDU`) grows by bordering and serves both
+twins.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from mpmath.libmp import from_man_exp, round_nearest
 
 from .measures import IntervalMeasure, SupportError
 from .poly import Polynomial
-from .precision import _man_exp, _to_mpf
+from .precision import _man_exp, _probe_point, _to_mpf
 
 
 class SystemError_(ValueError):
@@ -189,6 +192,7 @@ class NikishinSystem:
         self.m = len(measures)
         self._inner_cache = {}
         self._shat_cache = {}
+        self._shat_blocks = {}
         self._smoment_cache = {}
         self._basis_vals = {}
         self._basis_polys = {}
@@ -329,6 +333,21 @@ class NikishinSystem:
             out.append(tuple(abs(x) for x in vals) if absolute else vals)
         return out
 
+    def chain(self, j: int, k: int, v, absolute: bool = False):
+        """The node vector v of sigma_j pushed one level at a time to
+        sigma_k: {level: vector} for every level from j to k, v itself at j.
+        With absolute=True the walk starts from |v| and each hop is `push`'s
+        absolute-value companion, the cancellation mass of the signed walk."""
+        self._check_chain(j, k)
+        step = 1 if j < k else -1
+        if absolute:
+            v = tuple(abs(x) for x in v)
+        walk = {j: v}
+        for i in range(j, k, step):
+            (v,) = self.push(i, i + step, [v], absolute)
+            walk[i + step] = v
+        return walk
+
     def transform(self, j: int, v, z, blocks: dict, slope: bool = False):
         """sum_l w_l v_l / (z - x_l) over sigma_j's nodes at one point z
         (mpf or mpc) off the node hull, in the operator's fixed point.
@@ -397,49 +416,37 @@ class NikishinSystem:
         """Values of the inner transform of s_{j,k} at sigma_j's nodes.
 
         Forward (j < k): s_hat_{j+1,k} at the nodes; reversed (j > k):
-        s_hat_{j-1,k}; trivially ones when j == k.
+        s_hat_{j-1,k}; trivially ones when j == k.  The walk from sigma_k
+        is cached per k and extended from its end nearest to j.
         """
         self._check_chain(j, k)
-        key = (j, k)
-        cached = self._inner_cache.get(key)
-        if cached is not None:
-            return cached
-        mu = self.measure(j)
-        if j == k:
-            vals = tuple(mpf(1) for _ in mu.nodes)
-        else:
-            inner_j = j + 1 if j < k else j - 1
-            (vals,) = self.push(inner_j, j, [self.inner_values(inner_j, k)])
-        return self._inner_cache.setdefault(key, vals)
+        walk = self._inner_cache.get(k)
+        if walk is None:
+            walk = self._inner_cache[k] = {k: tuple(mpf(1) for _ in self.measure(k).nodes)}
+        if j not in walk:
+            end = min(walk) if j < k else max(walk)
+            walk.update(self.chain(end, j, walk[end]))
+        return walk[j]
 
     def s_hat(self, j: int, k: int, z):
         """Cauchy transform of the generated measure s_{j,k} at z.
 
-        s_hat_{j,j} is sigma_j's plain transform; otherwise the one-level
-        recursion integrates the cached inner transform against sigma_j.
+        s_hat_{j,j} is sigma_j's plain transform; otherwise the cached inner
+        transform is integrated against sigma_j, both through `transform`.
         z must lie off the support interval of sigma_j.  Memoized by
         (j, k, z, precision).
         """
         self._check_chain(j, k)
-        mu = self.measure(j)
-        complex_z = isinstance(z, (mpc, complex)) and mpc(z).imag != 0
-        if complex_z:
-            z = mpc(z)
-        else:
-            z = mpc(z).real if isinstance(z, (mpc, complex)) else mpf(z)
-            if mu.interval.contains(z):
-                raise SupportError(
-                    f"z={z} lies on the support of sigma_{j}"
-                )
+        z = _probe_point(z)
+        if not isinstance(z, mpc) and self.interval(j).contains(z):
+            raise SupportError(f"z={z} lies on the support of sigma_{j}")
         key = (j, k, z, mp.prec)
         cached = self._shat_cache.get(key)
         if cached is not None:
             return cached
-        inner = self.inner_values(j, k)
-        acc = mpc(0) if complex_z else mpf(0)
-        for x, w, g in zip(mu.nodes, mu.weights, inner):
-            acc += w * g / (z - x)
-        return self._shat_cache.setdefault(key, acc)
+        blocks = self._shat_blocks.setdefault((j, k), {})
+        value = self.transform(j, self.inner_values(j, k), z, blocks)
+        return self._shat_cache.setdefault(key, value)
 
     def s_moments(self, j: int, k: int, count: int):
         """Moments 0..count-1 of s_{j,k} (forward orientation, j <= k)."""
@@ -512,24 +519,19 @@ class NikishinSystem:
             self._basis_polys[j] = have
         return self._basis_polys[j][k]
 
-    def _gram_chain_values(self, nu: int):
-        """Basis element nu of Delta_1 pushed along the chain to sigma_m's
-        nodes (the kernel sign (-1)^(m-1) is applied by `gram`)."""
-        cached = self._gram_chain.get(nu)
-        if cached is not None:
-            return cached
-        h = self.basis_values(1, nu + 1)[nu]
-        for j in range(1, self.m):
-            (h,) = self.push(j, j + 1, [h])
-        return self._gram_chain.setdefault(nu, h)
-
     def gram(self, nu: int, mu_idx: int):
         """Bimoment bilinear form on the adapted bases: the (nu, mu) entry
         of the kernel Gram matrix between the Delta_1 and Delta_m bases."""
         if nu < 0 or mu_idx < 0:
             raise ValueError("gram orders must be >= 0")
+        h = self._gram_chain.get(nu)
+        if h is None:
+            # basis element nu of Delta_1 at sigma_m's nodes; the kernel
+            # sign (-1)^(m-1) is applied below
+            walk = self.chain(1, self.m, self.basis_values(1, nu + 1)[nu])
+            h = self._gram_chain.setdefault(nu, walk[self.m])
         q = self.basis_values(self.m, mu_idx + 1)[mu_idx]
-        val = self.dot(self.m, q, self._gram_chain_values(nu))
+        val = self.dot(self.m, q, h)
         return -val if self.m % 2 == 0 else val
 
     def gram_factor(self):

@@ -36,10 +36,6 @@ class Polynomial:
         return self.degree == -1
 
     @property
-    def is_monic(self) -> bool:
-        return not self.is_zero and self.coeffs[-1] == 1
-
-    @property
     def leading(self):
         return self.coeffs[-1]
 
@@ -58,18 +54,8 @@ class Polynomial:
             acc = mpf_add(mpf_mul(acc, xv, prec, round_nearest), c._mpf_, prec, round_nearest)
         return mp.make_mpf(acc), mp.make_mpf(slope)
 
-    def derivative(self) -> "Polynomial":
-        if self.degree <= 0:
-            return Polynomial((mpf(0),))
-        return Polynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
-
     def scale(self, s) -> "Polynomial":
         return Polynomial(tuple(s * c for c in self.coeffs))
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero:
-            raise ValueError("zero polynomial has no monic normalization")
-        return self.scale(1 / self.leading)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -96,14 +82,6 @@ class Polynomial:
     @staticmethod
     def one() -> "Polynomial":
         return Polynomial((mpf(1),))
-
-    @staticmethod
-    def from_roots(roots) -> "Polynomial":
-        """Monic polynomial with the given (real) roots."""
-        p = Polynomial((mpf(1),))
-        for r in roots:
-            p = p * Polynomial((-mpf(r), mpf(1)))
-        return p
 
     def __repr__(self):
         return f"Polynomial(deg={self.degree})"

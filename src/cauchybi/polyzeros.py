@@ -16,6 +16,7 @@ from mpmath import mp, mpf, mpc
 
 from .measures import Interval
 from .poly import Polynomial
+from .precision import _probe_point
 
 
 class RootCountError(ArithmeticError):
@@ -242,30 +243,19 @@ def _log_antiderivative(u):
 
 
 def log_potential(mu: DiscreteMeasure, z):
-    """V^mu(z) = integral of log(1/|z-t|) dmu(t).
-
-    Discrete atoms: direct sum (z must avoid the atoms).  Cell densities:
-    the exact closed-form integral, summed by parts over the cell edges,
+    """V^mu(z) = integral of log(1/|z-t|) dmu(t) for a cell density mu: the
+    exact closed-form integral, summed by parts over the cell edges,
     V = sum_i J_i g(z - e_i) with J the density jumps (one log per edge);
     valid on the support too.
     """
-    if isinstance(z, (mpc, complex)) and mpc(z).imag != 0:
-        z = mpc(z)
-    else:
-        z = mpc(z).real if isinstance(z, (mpc, complex)) else mpf(z)
-    if mu.cell_edges is not None:
-        return sum(
-            (J * _log_antiderivative(z - e)
-             for J, e in zip(mu._density_jumps(), mu.cell_edges)),
-            mpf(0),
-        )
-    total = mpf(0)
-    for t, w in zip(mu.points, mu.weights):
-        d = abs(z - t)
-        if d == 0:
-            raise ValueError(f"potential evaluated at the atom t={t}")
-        total -= w * mp.log(d)
-    return total
+    if mu.cell_edges is None:
+        raise ValueError("log_potential needs a cell density, not atoms")
+    z = _probe_point(z)
+    return sum(
+        (J * _log_antiderivative(z - e)
+         for J, e in zip(mu._density_jumps(), mu.cell_edges)),
+        mpf(0),
+    )
 
 
 def moment_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, K: int) -> mpf:

@@ -5,12 +5,13 @@ run-wide parameter (bits); mixing precisions inside one run is deliberately
 unsupported because the bimoment systems solved downstream are severely
 ill-conditioned and uniform precision keeps failures diagnosable.  The
 fixed-point kernels (quadrature rules, the Cauchy-chain operator) convert
-between mpf and exact (mantissa, exponent) ints with the helpers below.
+between mpf and exact (mantissa, exponent) ints with the helpers below, and
+probe points enter every evaluator as an mpf or an mpc (`_probe_point`).
 """
 
 from __future__ import annotations
 
-from mpmath import mp, mpf
+from mpmath import mp, mpf, mpc
 from mpmath.libmp import from_man_exp, round_nearest
 
 MIN_PRECISION_BITS = 64
@@ -33,6 +34,15 @@ def _man_exp(x):
 def _to_mpf(man, exp):
     """man * 2**exp rounded to the working precision."""
     return mp.make_mpf(from_man_exp(man, exp, mp.prec, round_nearest))
+
+
+def _probe_point(z):
+    """A probe point as an mpc when its imaginary part is nonzero, else as
+    an mpf."""
+    if isinstance(z, (mpc, complex)):
+        z = mpc(z)
+        return z if z.imag else z.real
+    return mpf(z)
 
 
 def tol() -> mpf:

@@ -10,11 +10,19 @@ from mpmath import mp, mpc, mpf
 from cauchybi import Polynomial, SupportError, SystemError_, log_potential
 
 
+def from_roots(roots) -> Polynomial:
+    """Monic polynomial with the given (real) roots."""
+    p = Polynomial.one()
+    for r in roots:
+        p = p * Polynomial((-mpf(r), mpf(1)))
+    return p
+
+
 def Qnj(sol, j: int) -> Polynomial:
     """Monic polynomial with the zeros of A_{n,j} (Q_{n,0} = Q_{n,m+1} = 1)."""
     if j == 0 or j == sol.m + 1:
         return Polynomial.one()
-    return Polynomial.from_roots(sol.zeros(j))
+    return from_roots(sol.zeros(j))
 
 
 def cauchy_transform(mu, z):

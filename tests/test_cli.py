@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from cauchybi import equilibrium
-from cauchybi.cli import _solve_eq, load_config, main, run_manifest
+from cauchybi.cli import ALL_SUITES, _solve_eq, load_config, main, run_manifest
 
 S2_CONFIG = {
     "system": [
@@ -58,6 +58,19 @@ def test_overlapping_intervals_rejected(tmp_path):
     ]
     cfg = write_config(tmp_path, doc)
     assert main(["solve-hp", "--config", cfg]) == 2
+
+
+def test_verify_force_keeps_solved_directory_under_invalid_system(tmp_path, capsys):
+    # the system is validated before the output directory is claimed
+    assert main(["solve-hp", "--config", write_config(tmp_path, M1_CONFIG)]) == 0
+    out = tmp_path / "out"
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    doc = dict(S2_CONFIG, system=[{"interval": ["0", "1"]}, {"interval": ["0.5", "2"]}])
+    bad = write_config(tmp_path, doc, name="bad.json")
+    capsys.readouterr()
+    assert main(["verify", "--config", bad, "--force"]) == 2
+    assert "not disjoint" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_probe_on_support_rejected(tmp_path):
@@ -203,6 +216,14 @@ def test_verify_single_suite(tmp_path, capsys):
 def test_verify_m1_passes(tmp_path):
     cfg = write_config(tmp_path, M1_CONFIG)
     assert main(["verify", "--config", cfg]) == 0
+
+
+def test_verify_n_max_1_reports_every_suite(tmp_path):
+    # degree 0 has no zeros: the weak-asymptotics checkpoints leave it out
+    cfg = write_config(tmp_path, dict(M1_CONFIG, n_max=1))
+    assert main(["verify", "--config", cfg]) in (0, 4)
+    report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
+    assert sorted(r["suite"] for r in report) == sorted(ALL_SUITES)
 
 
 def test_tables_outputs_csv_json_plot(tmp_path):

@@ -40,14 +40,14 @@ def test_Q1_closed_form(s2_system):
             I[0] += w * w2 / (x - y)
             I[1] += w * w2 * y / (x - y)
     Q1 = solve_Qn(s2_system, 1)
-    assert Q1.is_monic and Q1.degree == 1
+    assert Q1.leading == 1 and Q1.degree == 1
     assert abs(Q1.coeffs[0] + I[1] / I[0]) < mpf(10) ** (-120)
 
 
 def test_Qn_monic_with_zeros_in_top_interval(s2_system, s2_solutions):
     sol = s2_solutions[5]
     Q = sol.Q
-    assert Q.is_monic and Q.degree == 5
+    assert Q.leading == 1 and Q.degree == 5
     zs = sol.zeros(2)
     assert len(zs) == 5
     assert all(mpf(2) < z < mpf(3) for z in zs)
@@ -57,7 +57,7 @@ def test_vector_structure(s2_solutions):
     sol = s2_solutions[7]
     # a_m = (-1)^m Q (m=2 even), degree bounds on the lower entries
     assert sol.a[2].degree == 7
-    assert sol.a[2].is_monic
+    assert sol.a[2].leading == 1
     assert sol.a[1].degree <= 6
     assert sol.a[0].degree <= 6
 

@@ -15,7 +15,6 @@ from cauchybi import (
 from helpers import (
     biorthogonality_entry,
     bimoment,
-    cauchy_transform,
     eval_form_direct,
     kernel_K,
 )
@@ -59,11 +58,6 @@ def test_reversed_swaps_chain(s2):
     # built once, both ways
     assert s2.reversed() is r
     assert rr is s2
-
-
-def test_s_hat_level_zero_is_plain_transform(s2):
-    z = mpf(-1)
-    assert abs(s2.s_hat(1, 1, z) - cauchy_transform(s2.measure(1), z)) == 0
 
 
 def test_s_hat_one_level_recursion(s2):
@@ -159,7 +153,7 @@ def test_basis_polynomials_are_monic_and_orthogonal(s2):
         rule = list(zip(mu.nodes, mu.weights))
         polys = [s2.basis_polynomial(j, k) for k in range(5)]
         for p in polys:
-            assert p.is_monic or p.degree == 0
+            assert p.leading == 1
         for i in range(5):
             for k in range(i):
                 ip = sum((w * polys[i](x) * polys[k](x) for x, w in rule), mpf(0))
@@ -235,6 +229,43 @@ def test_push_matches_mpf_loop_at_doubled_precision(family):
                     for got, got_abs, r, ra in zip(signed, absolute, ref, ref_abs):
                         assert abs(got - r) <= eps * ra
                         assert abs(got_abs - ra) <= eps * ra
+
+
+@pytest.mark.parametrize("family", ["s2", "m3"])
+def test_chain_equals_iterated_push(family):
+    sys_ = _operator_system(family)
+    for j in range(1, sys_.m + 1):
+        v = sys_.basis_values(j, 8)[7]
+        for k in range(1, sys_.m + 1):
+            step = 1 if j < k else -1
+            for absolute in (False, True):
+                walk = sys_.chain(j, k, v, absolute)
+                u = tuple(abs(x) for x in v) if absolute else v
+                assert sorted(walk) == list(range(min(j, k), max(j, k) + 1))
+                assert walk[j] == u
+                for i in range(j, k, step):
+                    (u,) = sys_.push(i, i + step, [u], absolute)
+                    assert walk[i + step] == u
+
+
+@pytest.mark.parametrize("family", ["s2", "m3"])
+def test_s_hat_matches_mpf_loop_at_doubled_precision(family):
+    # s_hat_{j,j} is sigma_j's plain transform; every s_hat contracts its
+    # inner values within eps times the contraction's absolute-value sum
+    sys_ = _operator_system(family)
+    eps = mpf(2) ** (-mp.prec)
+    for z in (mpf(-1), mpf(5), mpc("1.5", "0.5"), mpc("-0.5", "-2")):
+        for j in range(1, sys_.m + 1):
+            mu = sys_.measure(j)
+            for k in range(1, sys_.m + 1):
+                got = sys_.s_hat(j, k, z)
+                g = sys_.inner_values(j, k)
+                assert j != k or set(g) == {1}
+                with mp.workprec(2 * mp.prec):
+                    terms = [w * v / (z - x) for x, w, v in zip(mu.nodes, mu.weights, g)]
+                    ref = sum(terms, mpc(0))
+                    mass = sum((abs(t) for t in terms), mpf(0))
+                    assert abs(got - ref) <= eps * mass
 
 
 @pytest.mark.parametrize("family", ["s2", "m3"])

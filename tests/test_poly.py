@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
 from cauchybi import Polynomial
+from helpers import from_roots
 
 small_coeffs = st.lists(
     st.integers(min_value=-50, max_value=50), min_size=1, max_size=8
@@ -37,26 +38,10 @@ def test_complex_evaluation():
     assert abs(v) < mpf(10) ** (-mp.dps + 2)
 
 
-def test_derivative():
-    p = Polynomial((5, 0, 3, 2))  # 2x^3 + 3x^2 + 5
-    d = p.derivative()
-    assert d.coeffs == (mpf(0), mpf(6), mpf(6))
-    assert Polynomial.one().derivative().is_zero
-
-
-def test_monic():
-    p = Polynomial((2, 0, 4))
-    q = p.monic()
-    assert q.is_monic
-    assert q.coeffs == (mpf("0.5"), mpf(0), mpf(1))
-    with pytest.raises(ValueError):
-        Polynomial.zero().monic()
-
-
 def test_from_roots_monic_and_vanishing():
     roots = [mpf("0.25"), mpf(1), mpf(3)]
-    p = Polynomial.from_roots(roots)
-    assert p.is_monic and p.degree == 3
+    p = from_roots(roots)
+    assert p.leading == 1 and p.degree == 3
     for r in roots:
         assert abs(p(r)) < mpf(10) ** (-mp.dps + 4)
 

@@ -15,6 +15,7 @@ from cauchybi import (
     real_roots,
 )
 from cauchybi.polyzeros import RootCountError, refine_bracket
+from helpers import from_roots
 
 
 def test_refine_bracket_simple_root():
@@ -26,7 +27,7 @@ def test_refine_bracket_simple_root():
 
 def test_real_roots_recovers_known_roots():
     roots = [mpf("0.1"), mpf("0.35"), mpf("0.62"), mpf("0.9")]
-    p = Polynomial.from_roots(roots)
+    p = from_roots(roots)
     found = real_roots(p, Interval(0, 1))
     assert len(found) == 4
     for a, b in zip(found, roots):
@@ -58,7 +59,7 @@ def test_real_roots_random_separated(ks):
     roots = sorted(mpf(k) / 100 for k in ks)
     if min(b - a for a, b in zip(roots, roots[1:])) < mpf("0.01"):
         return
-    p = Polynomial.from_roots(roots)
+    p = from_roots(roots)
     found = real_roots(p, Interval(0, 1))
     assert all(abs(a - b) < mpf(10) ** (-30) for a, b in zip(found, roots))
 
@@ -105,11 +106,10 @@ def test_cell_measure_moments_exact():
         assert mu.moments(k)[k] == m_k
 
 
-def test_log_potential_atoms():
+def test_log_potential_rejects_atoms():
     mu = DiscreteMeasure((mpf(0),), (mpf(1),))
-    assert abs(log_potential(mu, mpf(2)) + mp.log(2)) < mpf(10) ** (-100)
     with pytest.raises(ValueError):
-        log_potential(mu, mpf(0))
+        log_potential(mu, mpf(2))
 
 
 def test_log_potential_cells_matches_closed_form():
