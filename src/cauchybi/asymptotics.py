@@ -1,10 +1,8 @@
 """Limit predictions from the equilibrium solution, and empirical estimators.
 
-The limiting functions F_k are represented by the pair (lambda_k, gamma_k):
-log |F_k(z)| = gamma_k - V^{lambda_k}(z) with F_k'(infinity) = e^{gamma_k},
-where gamma solves the tridiagonal normalization chain
-2 gamma_k - gamma_{k-1} - gamma_{k+1} = 2 omega'_k (gamma_0 = gamma_{m+1} = 0),
-whose solution gives log kappa_k = omega'_k.  This avoids any Riemann-surface
+The limiting functions F_k are represented by the pair (lambda_k, omega'_k):
+log |F_k(z)/F_k'(infinity)| = -V^{lambda_k}(z), and the leading-coefficient
+ratio limits are kappa_k = e^{omega'_k}.  This avoids any Riemann-surface
 numerics; moduli are all the tested statements need.
 """
 
@@ -27,7 +25,6 @@ class DomainError(ValueError):
 @dataclass(frozen=True)
 class AsymptoticPredictor:
     equilibrium: EquilibriumSolution
-    gammas: tuple  # gamma_1..gamma_m
     kappas: tuple  # kappa_1..kappa_m
     # V^{lambda_k}(z) by (k, z, precision): the estimators ask for the same
     # few potentials many times, and log_potential sums over every cell
@@ -55,36 +52,11 @@ class AsymptoticPredictor:
         return self.equilibrium.omega_cum[j - 1]
 
 
-def _solve_tridiagonal(omega_prime):
-    """Thomas solve of 2 g_k - g_{k-1} - g_{k+1} = 2 w'_k, zero boundary."""
-    m = len(omega_prime)
-    rhs = [2 * w for w in omega_prime]
-    diag = [mpf(2)] * m
-    upper = [mpf(-1)] * (m - 1)
-    lower = [mpf(-1)] * (m - 1)
-    for i in range(1, m):
-        f = lower[i - 1] / diag[i - 1]
-        diag[i] -= f * upper[i - 1]
-        rhs[i] -= f * rhs[i - 1]
-    g = [mpf(0)] * m
-    g[m - 1] = rhs[m - 1] / diag[m - 1]
-    for i in range(m - 2, -1, -1):
-        g[i] = (rhs[i] - upper[i] * g[i + 1]) / diag[i]
-    return g
-
-
 def make_predictor(eq: EquilibriumSolution) -> AsymptoticPredictor:
-    """Predictor from a solved equilibrium; gamma by the tridiagonal chain."""
+    """Predictor from a solved equilibrium; kappa_k = exp(omega'_k)."""
     if not eq.lambdas:
         raise ValueError("equilibrium solution is empty")
-    g = _solve_tridiagonal(list(eq.omega_prime))
-    m = len(g)
-    kappas = []
-    for k in range(m):
-        left = g[k - 1] if k > 0 else mpf(0)
-        right = g[k + 1] if k < m - 1 else mpf(0)
-        kappas.append(exp(g[k] - (left + right) / 2))
-    return AsymptoticPredictor(eq, tuple(g), tuple(kappas))
+    return AsymptoticPredictor(eq, tuple(exp(w) for w in eq.omega_prime))
 
 
 def _check_off(pred: AsymptoticPredictor, z, levels):

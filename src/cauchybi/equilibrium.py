@@ -9,16 +9,19 @@ inverse square root).  All cell-pair interaction integrals use the exact
 closed-form double antiderivative, so there is no quadrature bias; the
 self-cell value reduces to h^2(3/2 - log h).
 
-The optimizer is a short exact-line-search Frank-Wolfe phase (support
-identification, monotone energy) followed by a primal active-set QP solve
-on the product simplex, which lands on the exact discrete minimizer.  The
-conditioning is benign, so this module runs in double precision; results
-are exposed as mpf through DiscreteMeasure.
+The discrete minimizer is one equality-constrained KKT solve with every
+cell in the support: the energy is positive definite on zero-mass
+directions, so that stationary point is the minimizer on the product
+simplex whenever its cell masses are all positive.  The solve is checked,
+not iterated: a non-positive cell mass, or a half-gradient that misses its
+per-interval level by more than the tolerance, raises EquilibriumError.
+The conditioning is benign, so this module runs in double precision;
+results are exposed as mpf through DiscreteMeasure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from mpmath import mp, mpf
@@ -71,61 +74,17 @@ class EquilibriumSolution:
     omega_prime: tuple
     omega_cum: tuple
     residual: mpf
-    iterations: int
-    energy_log: tuple = field(repr=False)
 
     @property
     def m(self) -> int:
         return len(self.intervals)
 
 
-def _kkt_solve(Q, active, m, M):
-    """Equality-constrained minimizer of x^T Q x with per-block unit mass on
-    the active cells; returns (x, levels) with levels the per-block constant
-    of the half-gradient W = Qx on active cells."""
-    idx = np.flatnonzero(active)
-    na = idx.size
-    A = np.zeros((m, na))
-    for j in range(m):
-        A[j, (idx >= j * M) & (idx < (j + 1) * M)] = 1.0
-    if not np.all(A.sum(axis=1) > 0):
-        raise EquilibriumError("a component lost all active cells")
-    K = np.zeros((na + m, na + m))
-    K[:na, :na] = 2.0 * Q[np.ix_(idx, idx)]
-    K[:na, na:] = A.T
-    K[na:, :na] = A
-    rhs = np.zeros(na + m)
-    rhs[na:] = 1.0
-    sol = np.linalg.solve(K, rhs)
-    x = np.zeros(m * M)
-    x[idx] = sol[:na]
-    levels = -sol[na:] / 2.0
-    return x, levels
-
-
-def solve_equilibrium(
-    intervals,
-    cells_per_interval: int = 256,
-    tol=mpf("1e-8"),
-    max_iter: int = 500,
-    init: str = "uniform",
-) -> EquilibriumSolution:
-    """Discrete minimizer of the vector energy on the product simplex.
-
-    init="uniform" starts from mass proportional to cell length;
-    init="arcsine" from equal cell masses (which on Chebyshev-spaced cells
-    is the arcsine profile).  Both must land on the same minimizer.
-    """
-    intervals = tuple(
-        iv if isinstance(iv, Interval) else Interval(*iv) for iv in intervals
-    )
-    m = len(intervals)
-    M = int(cells_per_interval)
-    tol_f = float(tol)
-
-    edges = [_chebyshev_edges(float(iv.a), float(iv.b), M) for iv in intervals]
-    N = m * M
-    Q = np.zeros((N, N))
+def _interaction_matrix(edges) -> np.ndarray:
+    """Q with x^T Q x the vector energy of cell masses x, one block per
+    interval's edge grid, weighted by the Nikishin coupling."""
+    m, M = len(edges), len(edges[0]) - 1
+    Q = np.zeros((m * M, m * M))
     for j in range(m):
         # the Nikishin coupling's upper triangle: 1, then -1/2 right of it
         for k, c in ((j, 1.0), (j + 1, -0.5))[: m - j]:
@@ -133,107 +92,57 @@ def solve_equilibrium(
             Q[j * M : (j + 1) * M, k * M : (k + 1) * M] = blk
             if k != j:
                 Q[k * M : (k + 1) * M, j * M : (j + 1) * M] = blk.T
+    return Q
 
-    if init == "uniform":
-        x = np.concatenate(
-            [(e[1:] - e[:-1]) / (e[-1] - e[0]) for e in edges]
-        )
-    elif init == "arcsine":
-        x = np.full(N, 1.0 / M)
-    else:
-        raise ValueError(f"unknown init {init!r}")
 
-    energy_log = []
-    iters = 0
+def solve_equilibrium(
+    intervals,
+    cells_per_interval: int = 256,
+    tol=mpf("1e-8"),
+) -> EquilibriumSolution:
+    """Discrete minimizer of the vector energy on the product simplex.
 
-    def energy(v):
-        return float(v @ (Q @ v))
+    Raises EquilibriumError unless every cell mass is positive and the
+    half-gradient W = Qx is within tol of one level per interval.
+    """
+    intervals = tuple(
+        iv if isinstance(iv, Interval) else Interval(*iv) for iv in intervals
+    )
+    m = len(intervals)
+    M = int(cells_per_interval)
+    N = m * M
+    edges = [_chebyshev_edges(float(iv.a), float(iv.b), M) for iv in intervals]
+    Q = _interaction_matrix(edges)
 
-    # Frank-Wolfe with exact line search: monotone energy, identifies
-    # whether any cells want to vanish before the active-set phase.
-    for _ in range(20):
-        iters += 1
-        g = 2.0 * (Q @ x)
-        s = np.zeros(N)
-        for j in range(m):
-            blk = slice(j * M, (j + 1) * M)
-            s[j * M + int(np.argmin(g[blk]))] = 1.0
-        d = s - x
-        denom = 2.0 * float(d @ (Q @ d))
-        if denom <= 0:
-            break
-        t = max(0.0, min(1.0, -float(g @ d) / denom))
-        if t == 0.0:
-            break
-        x = x + t * d
-        energy_log.append(energy(x))
+    # stationarity 2 Q x + A^T nu = 0 and unit mass A x = 1, A the block sums
+    A = np.kron(np.eye(m), np.ones(M))
+    K = np.zeros((N + m, N + m))
+    K[:N, :N] = 2.0 * Q
+    K[:N, N:] = A.T
+    K[N:, :N] = A
+    rhs = np.zeros(N + m)
+    rhs[N:] = 1.0
+    sol = np.linalg.solve(K, rhs)
+    x, levels = sol[:N], -sol[N:] / 2.0
 
-    # Primal active-set QP: each accepted step minimizes over an affine set
-    # containing the previous iterate, so the energy keeps decreasing.
-    active = x > 0
-    levels = None
-    residual = np.inf
-    for _ in range(max_iter):
-        iters += 1
-        xs, levels = _kkt_solve(Q, active, m, M)
-        neg = active & (xs < -1e-15)
-        if neg.any():
-            # walk toward the KKT point until the first cell hits zero
-            d = xs - x
-            shrink = active & (d < 0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                steps = np.where(shrink, -x / np.where(d < 0, d, -1.0), np.inf)
-            t = float(steps.min())
-            blocker = int(np.argmin(steps))
-            x = np.maximum(x + min(t, 1.0) * d, 0.0)
-            active[blocker] = False
-            x[blocker] = 0.0
-            energy_log.append(energy(x))
-            continue
-        x = np.maximum(xs, 0.0)
-        energy_log.append(energy(x))
-        W = Q @ x
-        dev = mx_violation = 0.0
-        worst = None
-        for j in range(m):
-            blk = slice(j * M, (j + 1) * M)
-            act = active[blk]
-            Wj = W[blk]
-            dev = max(dev, float(np.max(np.abs(Wj[act] - levels[j]))))
-            inact = ~act
-            if inact.any():
-                viol = levels[j] - Wj[inact]
-                vmax = float(viol.max())
-                if vmax > mx_violation:
-                    mx_violation = vmax
-                    worst = j * M + int(np.flatnonzero(inact)[int(np.argmax(viol))])
-        residual = dev + max(mx_violation, 0.0)
-        if mx_violation > tol_f / 2 and worst is not None:
-            active[worst] = True
-            continue
-        if residual <= tol_f:
-            break
-    else:
-        raise EquilibriumError(
-            f"no convergence in {max_iter} iterations, residual {residual:g}"
-        )
+    W = Q @ x
+    residual = 0.0
+    for j in range(m):
+        blk = slice(j * M, (j + 1) * M)
+        if np.any(x[blk] <= 0):
+            raise EquilibriumError(
+                f"component {j + 1} has a non-positive cell mass: "
+                "the minimizer does not charge every cell"
+            )
+        residual = max(residual, float(np.max(np.abs(W[blk] - levels[j]))))
+    if residual > float(tol):
+        raise EquilibriumError(f"KKT residual {residual:g} above tol {float(tol):g}")
 
     lambdas = []
     for j in range(m):
-        blk = slice(j * M, (j + 1) * M)
-        w = x[blk]
-        lo, hi = 0, M
-        while lo < hi and w[lo] <= 0:
-            lo += 1
-        while hi > lo and w[hi - 1] <= 0:
-            hi -= 1
-        if np.any(w[lo:hi] <= 0):
-            raise EquilibriumError(
-                f"component {j + 1} support is not a single cell range"
-            )
-        wm = [mpf(v) for v in w[lo:hi]]
+        wm = [mpf(v) for v in x[j * M : (j + 1) * M]]
         total = sum(wm, mpf(0))
-        lambdas.append(_cells([mpf(v) for v in edges[j][lo : hi + 1]], [v / total for v in wm]))
+        lambdas.append(_cells([mpf(v) for v in edges[j]], [v / total for v in wm]))
 
     omega_prime = tuple(mpf(v) for v in levels)
     omega_cum = []
@@ -249,8 +158,6 @@ def solve_equilibrium(
         omega_prime=omega_prime,
         omega_cum=omega_cum,
         residual=mpf(residual),
-        iterations=iters,
-        energy_log=tuple(energy_log),
     )
 
 
@@ -275,8 +182,6 @@ def solution_to_json(sol: EquilibriumSolution) -> dict:
         "omega_prime": [num(v) for v in sol.omega_prime],
         "omega_cum": [num(v) for v in sol.omega_cum],
         "residual": mp.nstr(sol.residual, 8),
-        "iterations": sol.iterations,
-        "energy_log": [float(e) for e in sol.energy_log],
     }
 
 
@@ -297,6 +202,4 @@ def solution_from_json(doc: dict) -> EquilibriumSolution:
         omega_prime=tuple(mpf(v) for v in doc["omega_prime"]),
         omega_cum=tuple(mpf(v) for v in doc["omega_cum"]),
         residual=mpf(doc["residual"]),
-        iterations=int(doc["iterations"]),
-        energy_log=tuple(doc.get("energy_log", ())),
     )

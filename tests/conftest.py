@@ -21,6 +21,10 @@ from cauchybi.precision import DEFAULT_PRECISION_BITS
 
 M3_INTERVALS = ((0, 1), ("1.15", "2.15"), ("2.3", "3.3"))
 M3_NODES = 160
+# 13 equilibrium cells on a long interval next to a nearly touching short
+# one: the KKT point gives the long interval's second cell a negative mass
+BOUNDARY_CHAIN = (("0", "0.3"), ("0.3006", "0.3046"), ("0.3048", "22.9"), ("22.93", "23.03"))
+BOUNDARY_CELLS = 13
 
 
 @pytest.fixture(autouse=True)

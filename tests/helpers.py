@@ -5,6 +5,7 @@ against."""
 import functools
 import weakref
 
+import numpy as np
 from mpmath import mp, mpc, mpf
 
 from cauchybi import Polynomial, SupportError, SystemError_, log_potential
@@ -174,3 +175,10 @@ def combined_potential(eq, j: int, z):
         if 1 <= k <= eq.m:
             total -= log_potential(eq.lambdas[k - 1], z) / 2
     return total
+
+
+def zero_mass_basis(m: int, M: int) -> np.ndarray:
+    """Orthonormal columns spanning the cell-mass vectors (m intervals of M
+    cells) that keep every interval's total mass."""
+    A = np.kron(np.eye(m), np.ones(M))
+    return np.linalg.svd(A)[2][m:].T

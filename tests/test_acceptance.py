@@ -5,6 +5,7 @@ measured quantities against their tolerances) and then asserts the verdict,
 so the full ledger of measured values survives in the test log.
 """
 
+import numpy as np
 from mpmath import mp, mpc, mpf
 
 from cauchybi import (
@@ -16,15 +17,15 @@ from cauchybi import (
     lebesgue,
     make_system,
     set_precision,
-    solve_equilibrium,
     solve_hp_vector,
     solve_reversed,
 )
+from cauchybi.equilibrium import _cells, _chebyshev_edges, _interaction_matrix
 from cauchybi.polyzeros import counting_measure, moment_distance
 from cauchybi.precision import tol
 
 from conftest import HI_BITS, M3_INTERVALS, M3_NODES
-from helpers import combined_potential
+from helpers import combined_potential, zero_mass_basis
 
 
 def _report(num, name, ok, detail):
@@ -272,15 +273,21 @@ def test_criterion_6_nth_root_and_rate(s2_hi_system, s2_hi_solutions, pred_s2_hi
     )
 
 
-def test_criterion_7_equilibrium_independence(s2_system, eq_s2, eq_s2_reversed):
-    alt = solve_equilibrium(
-        [s2_system.interval(1), s2_system.interval(2)],
-        cells_per_interval=512,
-        init="arcsine",
-    )
-    init_gap = max(
-        moment_distance(a, b, 12) for a, b in zip(eq_s2.lambdas, alt.lambdas)
-    )
+def test_criterion_7_equilibrium_independence(eq_s2, eq_s2_reversed):
+    # the same discrete minimizer reached by a second route: from equal cell
+    # masses (the arcsine profile) along the zero-mass directions
+    M = len(eq_s2.lambdas[0].weights)
+    edges = [_chebyshev_edges(float(iv.a), float(iv.b), M) for iv in eq_s2.intervals]
+    Q = _interaction_matrix(edges)
+    Z = zero_mass_basis(2, M)
+    x0 = np.full(2 * M, 1.0 / M)
+    x = x0 + Z @ np.linalg.solve(Z.T @ Q @ Z, -Z.T @ (Q @ x0))
+    alt = []
+    for j in range(2):
+        w = [mpf(v) for v in x[j * M : (j + 1) * M]]
+        total = sum(w)
+        alt.append(_cells([mpf(e) for e in edges[j]], [v / total for v in w]))
+    init_gap = max(moment_distance(a, b, 12) for a, b in zip(eq_s2.lambdas, alt))
     rev_gap = max(
         moment_distance(a, b, 12)
         for a, b in zip(eq_s2_reversed.lambdas, tuple(reversed(eq_s2.lambdas)))

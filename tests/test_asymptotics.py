@@ -27,14 +27,9 @@ def pred_s1(eq_s1):
     return make_predictor(eq_s1)
 
 
-def padded_gammas(pred):
-    """gamma_0..gamma_{m+1}, with gamma_0 = gamma_{m+1} = 0."""
-    return (0, *pred.gammas, 0)
-
-
 def test_m1_gamma_and_kappa(pred_s1):
-    # single interval [-1,1]: gamma_1 = omega'_1 = log 2, kappa_1 = 2
-    assert abs(pred_s1.gammas[0] - mp.log(2)) < mpf("1e-5")
+    # single interval [-1,1]: omega'_1 = log 2 (capacity 1/2), kappa_1 = 2
+    assert abs(pred_s1.equilibrium.omega_prime[0] - mp.log(2)) < mpf("1e-5")
     assert abs(pred_s1.kappas[0] - 2) < mpf("1e-4")
 
 
@@ -52,23 +47,11 @@ def test_m1_consecutive_leading_ratio(pred_s1):
     assert abs(v - exact) < mpf("1e-4") * exact
 
 
-def test_gamma_solves_tridiagonal_system(pred_s2):
-    g = padded_gammas(pred_s2)
-    for k in range(1, pred_s2.m + 1):
-        resid = (
-            2 * g[k]
-            - g[k - 1]
-            - g[k + 1]
-            - 2 * pred_s2.equilibrium.omega_prime[k - 1]
-        )
-        assert abs(resid) < mpf("1e-25")
-
-
 def test_kappa_consistency(pred_s2):
-    g = padded_gammas(pred_s2)
-    for k in range(1, pred_s2.m + 1):
-        expected = mp.exp(g[k] - (g[k - 1] + g[k + 1]) / 2)
-        assert abs(pred_s2.kappas[k - 1] - expected) < mpf("1e-25") * expected
+    # the normalization chain 2 g_k - g_{k-1} - g_{k+1} = 2 omega'_k makes
+    # kappa_k = exp(g_k - (g_{k-1} + g_{k+1})/2) exactly exp(omega'_k)
+    for kappa, w in zip(pred_s2.kappas, pred_s2.equilibrium.omega_prime, strict=True):
+        assert abs(kappa - mp.exp(w)) < mpf("1e-150") * kappa
 
 
 def test_probe_domain_enforced(pred_s2):

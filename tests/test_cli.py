@@ -11,6 +11,7 @@ import pytest
 
 from cauchybi import equilibrium
 from cauchybi.cli import ALL_SUITES, _solve_eq, load_config, main, run_manifest
+from conftest import BOUNDARY_CELLS, BOUNDARY_CHAIN
 
 S2_CONFIG = {
     "system": [
@@ -106,11 +107,31 @@ def test_nonpositive_equilibrium_tol_rejected(tmp_path, capsys, tol):
     assert "equilibrium.tol must be > 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("max_iter", [0, -5])
-def test_nonpositive_equilibrium_max_iter_rejected(tmp_path, capsys, max_iter):
-    doc = dict(M1_CONFIG, equilibrium={"cells": 128, "max_iter": max_iter})
-    assert main(["solve-eq", "--config", write_config(tmp_path, doc)]) == 2
-    assert "equilibrium.max_iter must be >= 1" in capsys.readouterr().err
+def test_equilibrium_max_iter_ignored(tmp_path):
+    # the solver does not iterate; configs written for one that did still run
+    doc = dict(M1_CONFIG, equilibrium={"cells": 128, "max_iter": 0})
+    assert main(["solve-eq", "--config", write_config(tmp_path, doc)]) == 0
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [dict(M1_CONFIG, quad_nodes=1, n_max=2), dict(S2_CONFIG, quad_nodes=3, n_max=3)],
+    ids=["m1", "s2"],
+)
+def test_quad_nodes_not_above_n_max_rejected(tmp_path, capsys, doc):
+    assert main(["solve-hp", "--config", write_config(tmp_path, doc)]) == 2
+    assert "quad_nodes must be > n_max" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out/hp_*.json"))
+
+
+def test_equilibrium_on_boundary_exits_3(tmp_path, capsys):
+    doc = dict(
+        M1_CONFIG,
+        system=[{"interval": list(iv)} for iv in BOUNDARY_CHAIN],
+        equilibrium={"cells": BOUNDARY_CELLS},
+    )
+    assert main(["solve-eq", "--config", write_config(tmp_path, doc)]) == 3
+    assert "non-positive cell mass" in capsys.readouterr().err
 
 
 def test_rate_table_rejected_for_m1(tmp_path):
@@ -219,11 +240,17 @@ def test_verify_m1_passes(tmp_path):
 
 
 def test_verify_n_max_1_reports_every_suite(tmp_path):
-    # degree 0 has no zeros: the weak-asymptotics checkpoints leave it out
-    cfg = write_config(tmp_path, dict(M1_CONFIG, n_max=1))
-    assert main(["verify", "--config", cfg]) in (0, 4)
-    report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
-    assert sorted(r["suite"] for r in report) == sorted(ALL_SUITES)
+    # degree 0 has no zeros: the weak-asymptotics checkpoints leave it out,
+    # and the estimator suites, which read only degree n_max - 1, are skipped
+    for name, doc in (("m1", M1_CONFIG), ("s2", S2_CONFIG)):
+        (tmp_path / name).mkdir()
+        cfg = write_config(tmp_path / name, dict(doc, n_max=1))
+        assert main(["verify", "--config", cfg]) == 0
+        report = json.loads((tmp_path / name / "out" / "verify_report.json").read_text())
+        assert sorted(r["suite"] for r in report) == sorted(ALL_SUITES)
+        skipped = {r["suite"]: r["skipped"] for r in report if "skipped" in r}
+        assert skipped["ratio-asymptotics"] == "needs n_max >= 2"
+        assert skipped["rate"] == ("needs m >= 2" if name == "m1" else "needs n_max >= 2")
 
 
 def test_tables_outputs_csv_json_plot(tmp_path):
@@ -276,6 +303,19 @@ def test_force_recomputes_saved_equilibrium(tmp_path):
     path.write_text(json.dumps(edited))
     assert main(["verify", "--config", cfg, "--force"]) == 0
     assert json.loads(path.read_text()) == fresh
+
+
+def test_equilibrium_file_with_legacy_keys_loads_and_verifies(tmp_path):
+    # files written by the iterative solver also carry iterations and energy_log
+    cfg = write_config(tmp_path, dict(M1_CONFIG, suites=["weak-asymptotics", "ratio-asymptotics"]))
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg]) == 0
+    first = (out / "verify_report.json").read_bytes()
+    doc = json.loads((out / "equilibrium.json").read_text())
+    assert "iterations" not in doc and "energy_log" not in doc
+    (out / "equilibrium.json").write_text(json.dumps(dict(doc, iterations=42, energy_log=[0.5])))
+    assert main(["verify", "--config", cfg]) == 0
+    assert (out / "verify_report.json").read_bytes() == first
 
 
 def test_verify_reads_saved_equilibrium_exactly(tmp_path):

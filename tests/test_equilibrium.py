@@ -1,11 +1,19 @@
 """Vector equilibrium problem: solver, potentials, serialization."""
 
+import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from cauchybi import Interval, moment_distance, solve_equilibrium
-from cauchybi.equilibrium import solution_from_json, solution_to_json
-from helpers import combined_potential
+from cauchybi import moment_distance, solve_equilibrium
+from cauchybi.equilibrium import (
+    EquilibriumError,
+    _chebyshev_edges,
+    _interaction_matrix,
+    solution_from_json,
+    solution_to_json,
+)
+from conftest import BOUNDARY_CELLS, BOUNDARY_CHAIN, M3_INTERVALS
+from helpers import combined_potential, zero_mass_basis
 
 
 def test_m1_recovers_arcsine_facts(eq_s1):
@@ -45,34 +53,34 @@ def test_s2_variational_conditions(eq_s2):
         assert max(abs(v - target) for v in levels) < mpf("1e-4")
 
 
-def test_init_independence(s2_system):
-    a = solve_equilibrium(
-        [s2_system.interval(1), s2_system.interval(2)],
-        cells_per_interval=128,
-        init="uniform",
-    )
-    b = solve_equilibrium(
-        [s2_system.interval(1), s2_system.interval(2)],
-        cells_per_interval=128,
-        init="arcsine",
-    )
-    assert (
-        max(
-            moment_distance(x, y, 12)
-            for x, y in zip(a.lambdas, b.lambdas)
-        )
-        < mpf("1e-6")
-    )
+@pytest.mark.parametrize(
+    "intervals", [((0, 1), (2, 3)), M3_INTERVALS], ids=["s2", "m3"]
+)
+def test_kkt_point_is_unique_minimizer(intervals):
+    # the energy is positive definite on directions that keep every
+    # interval's mass, so the one KKT point is the minimizer on the simplex,
+    # whatever an iterative solver would have started from
+    M = 128
+    edges = [_chebyshev_edges(float(a), float(b), M) for a, b in intervals]
+    Z = zero_mass_basis(len(edges), M)
+    eig = np.linalg.eigvalsh(Z.T @ _interaction_matrix(edges) @ Z)
+    assert eig.min() > 1e-6 * eig.max()
+
+
+def test_boundary_minimizer_rejected():
+    with pytest.raises(EquilibriumError, match="component 3 has a non-positive cell mass"):
+        solve_equilibrium(BOUNDARY_CHAIN, cells_per_interval=BOUNDARY_CELLS)
+
+
+def test_residual_above_tol_rejected():
+    # float64 levels are flat to ~1e-15, far above this tolerance
+    with pytest.raises(EquilibriumError, match="KKT residual"):
+        solve_equilibrium([(-1, 1)], cells_per_interval=32, tol=mpf("1e-30"))
 
 
 def test_reversal_symmetry(eq_s2, eq_s2_reversed):
     for x, y in zip(eq_s2.lambdas, reversed(eq_s2_reversed.lambdas)):
         assert moment_distance(x, y, 12) < mpf("1e-6")
-
-
-def test_unknown_init_rejected():
-    with pytest.raises(ValueError):
-        solve_equilibrium([Interval(0, 1)], cells_per_interval=32, init="bogus")
 
 
 def test_serialization_roundtrip(eq_s2):
