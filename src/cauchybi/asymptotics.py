@@ -8,7 +8,7 @@ numerics; moduli are all the tested statements need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from mpmath import mp, mpf, mpc, exp
 
@@ -26,9 +26,6 @@ class DomainError(ValueError):
 class AsymptoticPredictor:
     equilibrium: EquilibriumSolution
     kappas: tuple  # kappa_1..kappa_m
-    # V^{lambda_k}(z) by (k, z, precision): the estimators ask for the same
-    # few potentials many times, and log_potential sums over every cell
-    _potentials: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -38,12 +35,7 @@ class AsymptoticPredictor:
         """V^{lambda_k}(z); V^{lambda_0} = V^{lambda_{m+1}} = 0."""
         if k == 0 or k == self.m + 1:
             return mpf(0)
-        key = (k, z, mp.prec)
-        value = self._potentials.get(key)
-        if value is None:
-            value = log_potential(self.equilibrium.lambdas[k - 1], z)
-            self._potentials[key] = value
-        return value
+        return log_potential(self.equilibrium.lambdas[k - 1], z)
 
     def omega(self, j: int) -> mpf:
         """Backward cumulative omega_j = sum_{k>=j} omega'_k, omega_{m+1}=0."""

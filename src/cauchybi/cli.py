@@ -48,6 +48,11 @@ class ConfigError(ValueError):
 MANIFEST_SCHEMA = 2  # 2: cond is the exact kappa_1, solve_residual componentwise
 # the files a command resumes from instead of solving
 _RESUMABLE = re.compile(r"hp_(forward|reversed)_n\d+\.json|equilibrium\.json")
+# the last equilibrium parsed or solved, by (its file's bytes, precision):
+# commands run in one process share its measures, and so the potentials
+# cached on them; a file with other bytes is parsed again.  The bytes are
+# the key itself, since importing hashlib maps OpenSSL (+3.6 MB resident)
+_last_eq = {}
 
 
 @dataclass
@@ -76,6 +81,18 @@ class RunConfig:
     @property
     def intervals(self):
         return [Interval(d["a"], d["b"]) for d in self.measures]
+
+
+def _parse_probe(p):
+    """A config probe as an mpf or mpc, both of whose parts are finite."""
+    try:
+        z = mpmathify(p)
+    # mpmath's complex-string parser raises AttributeError on "1+infj"
+    except (ValueError, TypeError, AttributeError):
+        z = None
+    if z is None or not mp.isfinite(z):
+        raise ConfigError(f"probe {p!r} is not a finite number")
+    return z
 
 
 def load_config(path: str) -> RunConfig:
@@ -119,7 +136,7 @@ def load_config(path: str) -> RunConfig:
         eq_tol = mpf(eq.get("tol", "1e-8"))
         if not eq_tol > 0:
             raise ConfigError(f"equilibrium.tol must be > 0, got {eq_tol}")
-        probes = [mpmathify(p) for p in raw.get("probes", [])]
+        probes = [_parse_probe(p) for p in raw.get("probes", [])]
         cfg = RunConfig(
             measures=measures,
             n_max=n_max,
@@ -219,6 +236,23 @@ def atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _parse_saved(path: str, data: bytes, parse):
+    """parse(document) of a resumable file's bytes; a file that is not JSON,
+    lacks a key or holds a malformed value raises ConfigError naming it."""
+    try:
+        return parse(json.loads(data))
+    except (ValueError, KeyError, TypeError) as ex:
+        raise ConfigError(
+            f"{path} is damaged ({type(ex).__name__}: {ex}); "
+            "rerun with --force to recompute"
+        ) from None
+
+
+def _read(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 def _solution_path(outdir: str, kind: str, n: int) -> str:
     return os.path.join(outdir, f"hp_{kind}_n{n:03d}.json")
 
@@ -232,12 +266,13 @@ def _get_solutions(cfg: RunConfig, sys_obj, kind: str, force: bool):
         path = _solution_path(cfg.outputs, kind, n)
         sol = None
         if not force and os.path.exists(path):
-            with open(path) as fh:
-                doc = json.load(fh)
             # a file without Q's adapted coefficients is solved again: its
             # monomial Q alone would start every chain with lossy digits
-            if "c" in doc:
-                sol = hp.solution_from_json(sys_obj, doc)
+            sol = _parse_saved(
+                path,
+                _read(path),
+                lambda doc: hp.solution_from_json(sys_obj, doc) if "c" in doc else None,
+            )
         if sol is None:
             sol = hp.solve_hp_vector(sys_obj, n)
             for j in range(1, sol.m + 1):
@@ -283,20 +318,32 @@ def cmd_solve_equilibrium(cfg: RunConfig, force: bool = False) -> int:
     _claim_outputs(cfg, force)
     path = os.path.join(cfg.outputs, "equilibrium.json")
     if force or not os.path.exists(path):
-        sol = _solve_eq(cfg)
-        atomic_write(path, json.dumps(equilibrium.solution_to_json(sol), indent=1))
+        _save_eq(path, _solve_eq(cfg))
     print(f"equilibrium solution written to {path}")
     return EXIT_OK
 
 
+def _save_eq(path: str, sol) -> None:
+    """Write sol and remember it under the bytes written: the file holds
+    round-trip digits, so parsing it gives the measures and omegas solved."""
+    text = json.dumps(equilibrium.solution_to_json(sol), indent=1)
+    atomic_write(path, text)
+    _last_eq.clear()
+    _last_eq[text.encode(), mp.prec] = sol
+
+
 def _load_or_solve_eq(cfg: RunConfig):
     path = os.path.join(cfg.outputs, "equilibrium.json")
-    if os.path.exists(path):
-        with open(path) as fh:
-            return equilibrium.solution_from_json(json.load(fh))
-    sol = _solve_eq(cfg)
-    atomic_write(path, json.dumps(equilibrium.solution_to_json(sol), indent=1))
-    return sol
+    if not os.path.exists(path):
+        sol = _solve_eq(cfg)
+        _save_eq(path, sol)
+        return sol
+    data = _read(path)
+    key = (data, mp.prec)
+    if key not in _last_eq:
+        _last_eq.clear()
+        _last_eq[key] = _parse_saved(path, data, equilibrium.solution_from_json)
+    return _last_eq[key]
 
 
 def _suite_report(name, gaps, threshold):
@@ -343,7 +390,6 @@ def run_suites(cfg: RunConfig, sys_obj: NikishinSystem, suites, force: bool = Fa
         or any(s in suites for s in ("weak-asymptotics", "reversal-symmetry"))
         else None
     )
-    # one predictor for both estimator suites, so they share its potentials
     pred = asymptotics.make_predictor(eq) if estimators else None
     last_pair = fwd[-2:]
 

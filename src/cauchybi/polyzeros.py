@@ -134,6 +134,8 @@ class DiscreteMeasure:
     _jumps: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     # rescaled moments by (hull, K, precision): see `rescaled_moments`
     _rescaled: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # V^mu(z) by (probe point, precision): see `log_potential`
+    _potentials: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         pts = tuple(mpf(p) for p in self.points)
@@ -246,16 +248,22 @@ def log_potential(mu: DiscreteMeasure, z):
     """V^mu(z) = integral of log(1/|z-t|) dmu(t) for a cell density mu: the
     exact closed-form integral, summed by parts over the cell edges,
     V = sum_i J_i g(z - e_i) with J the density jumps (one log per edge);
-    valid on the support too.
+    valid on the support too.  Cached on mu by (z, precision): the
+    estimators ask for the same few potentials many times.
     """
     if mu.cell_edges is None:
         raise ValueError("log_potential needs a cell density, not atoms")
     z = _probe_point(z)
-    return sum(
-        (J * _log_antiderivative(z - e)
-         for J, e in zip(mu._density_jumps(), mu.cell_edges)),
-        mpf(0),
-    )
+    key = (z, mp.prec)
+    value = mu._potentials.get(key)
+    if value is None:
+        total = sum(
+            (J * _log_antiderivative(z - e)
+             for J, e in zip(mu._density_jumps(), mu.cell_edges)),
+            mpf(0),
+        )
+        value = mu._potentials.setdefault(key, total)
+    return value
 
 
 def moment_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, K: int) -> mpf:

@@ -9,9 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from cauchybi import equilibrium
+from cauchybi import equilibrium, polyzeros
 from cauchybi.cli import ALL_SUITES, _solve_eq, load_config, main, run_manifest
 from conftest import BOUNDARY_CELLS, BOUNDARY_CHAIN
+
+ROOT = Path(__file__).resolve().parent.parent
+TABLE_KINDS = ("ratioQ", "nthroot", "rate", "formratio", "leading")
 
 S2_CONFIG = {
     "system": [
@@ -39,6 +42,16 @@ def write_config(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def main_in_fresh_process(argv):
+    """main(argv) in a new interpreter, which holds no equilibrium yet."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cauchybi.cli", *argv],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600,
+    )
+    return proc.returncode, proc.stderr
 
 
 def test_missing_config_is_validation_error(tmp_path):
@@ -79,6 +92,14 @@ def test_probe_on_support_rejected(tmp_path):
     doc["probes"] = ["0.5"]
     cfg = write_config(tmp_path, doc)
     assert main(["verify", "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("probe", ["nan", "inf", "1+infj"], ids=["nan", "inf", "complex"])
+def test_nonfinite_probe_rejected(tmp_path, capsys, probe):
+    cfg = write_config(tmp_path, dict(M1_CONFIG, probes=[probe, "4.5"]))
+    assert main(["tables", "--config", cfg, "--which", "ratioQ"]) == 2
+    assert f"probe {probe!r} is not a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_suite_rejected(tmp_path):
@@ -283,12 +304,11 @@ def test_solve_hp_accepts_jobs_1_only(tmp_path):
 def test_benchmark_tracer_hooks_resolve():
     # perfbench/spans.py patches names in the package by attribute; each must
     # still exist (hp.solve, cli.make_measure, NikishinSystem.gram, ...)
-    root = Path(__file__).resolve().parent.parent
     code = "import sys; sys.path.insert(0, 'perfbench'); from spans import Tracer; Tracer().install()"
     env = dict(os.environ, PYTHONPATH="src")
     proc = subprocess.run(
         [sys.executable, "-c", code],
-        cwd=root, env=env, capture_output=True, text=True, timeout=300,
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
 
@@ -323,13 +343,81 @@ def test_verify_reads_saved_equilibrium_exactly(tmp_path):
     out = tmp_path / "out"
     assert main(["verify", "--config", cfg]) == 0  # solves and saves lambda
     first = (out / "verify_report.json").read_bytes()
-    assert main(["verify", "--config", cfg]) == 0  # loads it
+    # parses it: this process would reuse the lambda it solved
+    code, err = main_in_fresh_process(["verify", "--config", cfg])
+    assert code == 0, err
     assert (out / "verify_report.json").read_bytes() == first
     loaded = equilibrium.solution_from_json(json.loads((out / "equilibrium.json").read_text()))
     fresh = _solve_eq(load_config(cfg))
     assert loaded.lambdas == fresh.lambdas
     assert loaded.intervals == fresh.intervals
     assert (loaded.omega_prime, loaded.omega_cum) == (fresh.omega_prime, fresh.omega_cum)
+
+
+def test_verify_and_tables_compute_each_potential_once(tmp_path, monkeypatch):
+    # verify solves the equilibrium and the five tables load its file: in one
+    # process they share its measures, so each V^{lambda_k}(z) is one sum
+    # over the cell edges, one antiderivative per edge
+    calls = [0]
+    antiderivative = polyzeros._log_antiderivative
+
+    def counted(u):
+        calls[0] += 1
+        return antiderivative(u)
+
+    monkeypatch.setattr(polyzeros, "_log_antiderivative", counted)
+    cfg = write_config(tmp_path, S2_CONFIG)
+    assert main(["verify", "--config", cfg]) == 0
+    for which in TABLE_KINDS:
+        assert main(["tables", "--config", cfg, "--which", which]) == 0
+    m, probes = 2, len(load_config(cfg).probes)
+    assert calls[0] == m * probes * (S2_CONFIG["equilibrium"]["cells"] + 1)
+
+
+def test_edited_equilibrium_is_read_again_in_process(tmp_path):
+    cfg = write_config(tmp_path, M1_CONFIG)
+    out = tmp_path / "out"
+    table = out / "table_ratioQ.json"
+    assert main(["tables", "--config", cfg, "--which", "ratioQ"]) == 0
+    first = table.read_bytes()
+    path = out / "equilibrium.json"
+    doc = json.loads(path.read_text())
+    doc["lambdas"][0]["weights"][0] = "0.5"  # renormalized on load
+    path.write_text(json.dumps(doc))
+    assert main(["tables", "--config", cfg, "--which", "ratioQ"]) == 0
+    edited = table.read_bytes()
+    assert edited != first
+    fresh = tmp_path / "fresh"
+    shutil.copytree(out, fresh)
+    (fresh / "table_ratioQ.json").unlink()
+    code, err = main_in_fresh_process(
+        ["tables", "--config", cfg, "--which", "ratioQ", "--out", str(fresh)]
+    )
+    assert code == 0, err
+    assert (fresh / "table_ratioQ.json").read_bytes() == edited
+
+
+@pytest.mark.parametrize(
+    "name, key",
+    [("equilibrium.json", "lambdas"), ("hp_forward_n003.json", "a")],
+    ids=["equilibrium", "hp"],
+)
+def test_damaged_resumable_file_exits_2(tmp_path, capsys, name, key):
+    cfg = write_config(tmp_path, M1_CONFIG)
+    assert main(["tables", "--config", cfg, "--which", "ratioQ"]) == 0
+    path = tmp_path / "out" / name
+    text = path.read_text()
+    doc = json.loads(text)
+    truncated = text[: len(text) // 2]
+    keyless = json.dumps({k: v for k, v in doc.items() if k != key})
+    for damaged in (truncated, keyless):
+        path.write_text(damaged)
+        capsys.readouterr()
+        assert main(["tables", "--config", cfg, "--which", "ratioQ"]) == 2
+        err = capsys.readouterr().err
+        assert f"{path} is damaged" in err and "rerun with --force" in err
+    assert main(["tables", "--config", cfg, "--which", "ratioQ", "--force"]) == 0
+    assert json.loads(path.read_text()) == doc
 
 
 # -- the run manifest ---------------------------------------------------
