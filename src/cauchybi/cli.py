@@ -45,7 +45,7 @@ class ConfigError(ValueError):
     pass
 
 
-MANIFEST_SCHEMA = 2  # 2: cond is the exact kappa_1, solve_residual componentwise
+MANIFEST_SCHEMA = 3  # 2: cond is the exact kappa_1; 3: Chebyshev-series equilibrium
 # the files a command resumes from instead of solving
 _RESUMABLE = re.compile(r"hp_(forward|reversed)_n\d+\.json|equilibrium\.json")
 # the last equilibrium parsed or solved, by (its file's bytes, precision):
@@ -61,7 +61,6 @@ class RunConfig:
     n_max: int
     precision_bits: int
     quad_nodes: int
-    eq_cells: int
     eq_tol: mpf
     probes: list
     outputs: str
@@ -130,9 +129,8 @@ def load_config(path: str) -> RunConfig:
                 f"quad_nodes must be > n_max = {n_max}, got {quad_nodes}"
             )
         eq = raw.get("equilibrium", {})
-        eq_cells = int(eq.get("cells", 256))
-        if eq_cells < 1:
-            raise ConfigError(f"equilibrium.cells must be >= 1, got {eq_cells}")
+        # "cells" and "max_iter" set the earlier cell and iterative solvers;
+        # configs written for them still run, and neither changes an output
         eq_tol = mpf(eq.get("tol", "1e-8"))
         if not eq_tol > 0:
             raise ConfigError(f"equilibrium.tol must be > 0, got {eq_tol}")
@@ -142,7 +140,6 @@ def load_config(path: str) -> RunConfig:
             n_max=n_max,
             precision_bits=bits,
             quad_nodes=quad_nodes,
-            eq_cells=eq_cells,
             eq_tol=eq_tol,
             probes=probes,
             outputs=raw.get("outputs", "out"),
@@ -188,7 +185,6 @@ def run_manifest(cfg: RunConfig) -> dict:
         ],
         "quad_nodes": cfg.quad_nodes,
         "precision_bits": cfg.precision_bits,
-        "equilibrium_cells": cfg.eq_cells,
         "equilibrium_tol": num(cfg.eq_tol),
     }
 
@@ -307,11 +303,7 @@ def _solve_eq(cfg: RunConfig, reverse: bool = False):
     ivs = cfg.intervals
     if reverse:
         ivs = list(reversed(ivs))
-    return equilibrium.solve_equilibrium(
-        ivs,
-        cells_per_interval=cfg.eq_cells,
-        tol=cfg.eq_tol,
-    )
+    return equilibrium.solve_equilibrium(ivs, tol=cfg.eq_tol)
 
 
 def cmd_solve_equilibrium(cfg: RunConfig, force: bool = False) -> int:

@@ -2,21 +2,25 @@
 
 The energy E(mu) = sum_{j,k} c_{jk} int int log(1/|x-y|) dmu_j dmu_k, with
 the Nikishin coupling c_{jj} = 1, c_{j,j+-1} = -1/2 and 0 otherwise, is
-minimized over products of probability measures, one per interval, each
-discretized as a piecewise-constant density on Chebyshev-spaced cells
-(denser near the endpoints where the equilibrium density blows up like an
-inverse square root).  All cell-pair interaction integrals use the exact
-closed-form double antiderivative, so there is no quadrature bias; the
-self-cell value reduces to h^2(3/2 - log h).
+minimized over products of probability measures, one per interval
+Delta_k = [c - r, c + r].  Each component is a Chebyshev series against the
+arcsine weight, dlambda_k = sum_{i=0}^K a_{k,i} T_i(s) ds/(pi sqrt(1 - s^2))
+in s = (t - c)/r with a_{k,0} = 1 (`ChebyshevMeasure`), so every log-kernel
+interaction is closed form (Mason & Handscomb, *Chebyshev Polynomials*,
+2003; see `polyzeros.log_potential`).
 
-The discrete minimizer is one equality-constrained KKT solve with every
-cell in the support: the energy is positive definite on zero-mass
-directions, so that stationary point is the minimizer on the product
-simplex whenever its cell masses are all positive.  The solve is checked,
-not iterated: a non-positive cell mass, or a half-gradient that misses its
-per-interval level by more than the tolerance, raises EquilibriumError.
-The conditioning is benign, so this module runs in double precision;
-results are exposed as mpf through DiscreteMeasure.
+The minimizer charges every interval, where W_j = sum_k c_{jk} V^{lambda_k}
+is constant, omega'_j.  Requiring Chebyshev modes 1..K of W_j on Delta_j to
+vanish gives m*K linear equations (S. Olver, "Computation of equilibrium
+measures", J. Approx. Theory 163, 2011), and mode 0 gives omega'_j; a
+neighbour's potential is projected onto Delta_j's modes by a discrete cosine
+transform.  The coefficients decay geometrically, at a rate set by the gaps
+between the intervals: K doubles from 8 until the coefficients above K/2 are
+below tol.  The solve is checked, not trusted: EquilibriumError is raised
+when K reaches its cap unresolved, when a density factor sum_i a_{k,i} T_i
+is not positive on its interval, or when W_j misses omega'_j by more than
+tol between the modes.  The solve runs in float64; its coefficients enter
+the working precision exactly, as mpf.
 """
 
 from __future__ import annotations
@@ -28,49 +32,19 @@ from mpmath import mp, mpf
 from mpmath.libmp import repr_dps
 
 from .measures import Interval
-from .polyzeros import DiscreteMeasure
+from .polyzeros import ChebyshevMeasure
+
+_K_START, _K_MAX = 8, 256
 
 
 class EquilibriumError(ArithmeticError):
     pass
 
 
-def _chebyshev_edges(a: float, b: float, M: int) -> np.ndarray:
-    i = np.arange(M + 1)
-    return a + (b - a) * (1 - np.cos(np.pi * i / M)) / 2
-
-
-def _Phi(u: np.ndarray) -> np.ndarray:
-    """Double antiderivative of log|x-y| along the difference u = x - y."""
-    au = np.abs(u)
-    out = np.zeros_like(u)
-    nz = au > 0
-    out[nz] = 0.5 * u[nz] ** 2 * np.log(au[nz]) - 0.75 * u[nz] ** 2
-    return out
-
-
-def _pair_block(edges_a: np.ndarray, edges_b: np.ndarray) -> np.ndarray:
-    """Cell-averaged -log|x-y| interactions between two edge grids.
-
-    Entry (i, l) is (1/(h_i h_l)) * intint_{cell_i x cell_l} -log|x-y|,
-    exact via the closed-form Phi at the four corner differences.
-    """
-    lo_a, hi_a = edges_a[:-1], edges_a[1:]
-    lo_b, hi_b = edges_b[:-1], edges_b[1:]
-    I2 = (
-        _Phi(np.subtract.outer(hi_a, lo_b))
-        - _Phi(np.subtract.outer(lo_a, lo_b))
-        - _Phi(np.subtract.outer(hi_a, hi_b))
-        + _Phi(np.subtract.outer(lo_a, hi_b))
-    )
-    h_a, h_b = hi_a - lo_a, hi_b - lo_b
-    return -I2 / np.outer(h_a, h_b)
-
-
 @dataclass
 class EquilibriumSolution:
     intervals: tuple
-    lambdas: tuple  # DiscreteMeasure per interval (cell densities)
+    lambdas: tuple  # ChebyshevMeasure per interval
     omega_prime: tuple
     omega_cum: tuple
     residual: mpf
@@ -80,91 +54,115 @@ class EquilibriumSolution:
         return len(self.intervals)
 
 
-def _interaction_matrix(edges) -> np.ndarray:
-    """Q with x^T Q x the vector energy of cell masses x, one block per
-    interval's edge grid, weighted by the Nikishin coupling."""
-    m, M = len(edges), len(edges[0]) - 1
-    Q = np.zeros((m * M, m * M))
-    for j in range(m):
-        # the Nikishin coupling's upper triangle: 1, then -1/2 right of it
-        for k, c in ((j, 1.0), (j + 1, -0.5))[: m - j]:
-            blk = c * _pair_block(edges[j], edges[k])
-            Q[j * M : (j + 1) * M, k * M : (k + 1) * M] = blk
-            if k != j:
-                Q[k * M : (k + 1) * M, j * M : (j + 1) * M] = blk.T
-    return Q
+def _chebyshev_sum(theta: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_i coeffs[i] T_i(cos theta) = sum_i coeffs[i] cos(i theta)."""
+    return np.cos(np.outer(theta, np.arange(len(coeffs)))) @ coeffs
 
 
-def solve_equilibrium(
-    intervals,
-    cells_per_interval: int = 256,
-    tol=mpf("1e-8"),
-) -> EquilibriumSolution:
-    """Discrete minimizer of the vector energy on the product simplex.
+def _off_support(c: float, r: float, x: np.ndarray, K: int) -> np.ndarray:
+    """Column i = 0..K: the potential of basis function i of [c - r, c + r]
+    at the real points x off that interval, log(2/r) - log|phi| and then
+    phi^{-i}/i."""
+    xi = (x - c) / r
+    w = 1 / (xi + np.sign(xi) * np.sqrt(xi * xi - 1))  # 1/phi, |w| < 1
+    i = np.arange(1, K + 1)
+    return np.column_stack([np.log(2 / r) + np.log(np.abs(w)), w[:, None] ** i / i])
 
-    Raises EquilibriumError unless every cell mass is positive and the
-    half-gradient W = Qx is within tol of one level per interval.
+
+def _spectral(ivs, K: int):
+    """(S, a, omega') at fixed K for float intervals ivs = ((c, r), ...):
+    a is m x (K+1) with a[:, 0] = 1, and S the matrix of the mode equations
+    in a[:, 1:], which is the energy's Hessian on zero-mass directions."""
+    m = len(ivs)
+    S = np.kron(np.eye(m), np.diag(1.0 / np.arange(1, K + 1)))
+    rhs = np.zeros(m * K)
+    # a neighbour's basis potentials at Delta_j's first-kind Chebyshev points,
+    # then their modes 0..K there, halved by the coupling
+    N = 4 * K
+    theta = np.pi * (np.arange(N) + 0.5) / N
+    dct = np.cos(np.outer(np.arange(K + 1), theta)) * (2 / N)
+    dct[0] /= 2
+    blocks = {}
+    for j, (cj, rj) in enumerate(ivs):
+        for k in (j - 1, j + 1):
+            if 0 <= k < m:
+                B = dct @ _off_support(*ivs[k], cj + rj * np.cos(theta), K) / 2
+                blocks[j, k] = B
+                S[j * K : (j + 1) * K, k * K : (k + 1) * K] -= B[1:, 1:]
+                rhs[j * K : (j + 1) * K] += B[1:, 0]
+    a = np.hstack([np.ones((m, 1)), np.linalg.solve(S, rhs).reshape(m, K)])
+    omega = np.log([2 / r for _, r in ivs])
+    for (j, k), B in blocks.items():
+        omega[j] -= B[0] @ a[k]
+    return S, a, omega
+
+
+def _residual(ivs, a, omega) -> float:
+    """max_j of |W_j - omega'_j| at 4K + 1 equispaced points inside Delta_j,
+    which are not the modes the solve matched, plus one rounding of the
+    largest term: float64 resolves no finer."""
+    m, K = a.shape[0], a.shape[1] - 1
+    s = np.linspace(-1, 1, 4 * K + 3)[1:-1]
+    worst = 0.0
+    for j, (cj, rj) in enumerate(ivs):
+        own = _chebyshev_sum(np.arccos(s), np.r_[np.log(2 / rj), a[j, 1:] / np.arange(1, K + 1)])
+        W, scale = own - omega[j], np.abs(own)
+        for k in (j - 1, j + 1):
+            if 0 <= k < m:
+                V = _off_support(*ivs[k], cj + rj * s, K) @ a[k] / 2
+                W, scale = W - V, scale + np.abs(V)
+        worst = max(worst, float(np.max(np.abs(W) + np.finfo(float).eps * scale)))
+    return worst
+
+
+def solve_equilibrium(intervals, tol=mpf("1e-8")) -> EquilibriumSolution:
+    """Minimizer of the vector energy, one Chebyshev series per interval.
+
+    Raises EquilibriumError unless the coefficients resolve below tol by
+    K = 256, every density factor is positive on its interval, and W_j is
+    within tol of omega'_j on Delta_j.
     """
     intervals = tuple(
         iv if isinstance(iv, Interval) else Interval(*iv) for iv in intervals
     )
-    m = len(intervals)
-    M = int(cells_per_interval)
-    N = m * M
-    edges = [_chebyshev_edges(float(iv.a), float(iv.b), M) for iv in intervals]
-    Q = _interaction_matrix(edges)
-
-    # stationarity 2 Q x + A^T nu = 0 and unit mass A x = 1, A the block sums
-    A = np.kron(np.eye(m), np.ones(M))
-    K = np.zeros((N + m, N + m))
-    K[:N, :N] = 2.0 * Q
-    K[:N, N:] = A.T
-    K[N:, :N] = A
-    rhs = np.zeros(N + m)
-    rhs[N:] = 1.0
-    sol = np.linalg.solve(K, rhs)
-    x, levels = sol[:N], -sol[N:] / 2.0
-
-    W = Q @ x
-    residual = 0.0
-    for j in range(m):
-        blk = slice(j * M, (j + 1) * M)
-        if np.any(x[blk] <= 0):
+    ivs = [(float(iv.midpoint), float(iv.length) / 2) for iv in intervals]
+    tol = float(tol)
+    K = _K_START
+    while True:
+        _, a, omega = _spectral(ivs, K)
+        trailing = float(np.max(np.abs(a[:, K // 2 + 1 :])))
+        if trailing <= tol:
+            break
+        if K >= _K_MAX:
             raise EquilibriumError(
-                f"component {j + 1} has a non-positive cell mass: "
-                "the minimizer does not charge every cell"
+                f"coefficients above K/2 still reach {trailing:.2g} at K = {K}, "
+                f"above tol {tol:g}: the gaps between the intervals are too "
+                "narrow to resolve"
             )
-        residual = max(residual, float(np.max(np.abs(W[blk] - levels[j]))))
-    if residual > float(tol):
-        raise EquilibriumError(f"KKT residual {residual:g} above tol {float(tol):g}")
-
-    lambdas = []
-    for j in range(m):
-        wm = [mpf(v) for v in x[j * M : (j + 1) * M]]
-        total = sum(wm, mpf(0))
-        lambdas.append(_cells([mpf(v) for v in edges[j]], [v / total for v in wm]))
-
-    omega_prime = tuple(mpf(v) for v in levels)
-    omega_cum = []
-    acc = mpf(0)
+        K *= 2
+    grid = np.linspace(0, np.pi, 8 * K + 1)
+    for k, row in enumerate(a):
+        low = float(np.min(_chebyshev_sum(grid, row)))
+        if low <= 0:
+            raise EquilibriumError(
+                f"component {k + 1} has density factor {low:.2g} <= 0 on its "
+                "interval: the minimizer does not charge all of it"
+            )
+    residual = _residual(ivs, a, omega)
+    if residual > tol:
+        raise EquilibriumError(f"equilibrium residual {residual:g} above tol {tol:g}")
+    omega_prime = tuple(mpf(v) for v in omega)
+    omega_cum, acc = [], mpf(0)
     for v in reversed(omega_prime):
         acc += v
         omega_cum.append(acc)
-    omega_cum = tuple(reversed(omega_cum))
-
     return EquilibriumSolution(
         intervals=intervals,
-        lambdas=tuple(lambdas),
+        lambdas=tuple(ChebyshevMeasure(iv, row[1:]) for iv, row in zip(intervals, a)),
         omega_prime=omega_prime,
-        omega_cum=omega_cum,
+        omega_cum=tuple(reversed(omega_cum)),
         residual=mpf(residual),
     )
-
-
-def _cells(edges, weights) -> DiscreteMeasure:
-    """Cell density with these edges and masses, at the exact midpoints."""
-    mids = tuple((a + b) / 2 for a, b in zip(edges, edges[1:]))
-    return DiscreteMeasure(mids, tuple(weights), tuple(edges))
 
 
 def solution_to_json(sol: EquilibriumSolution) -> dict:
@@ -172,13 +170,7 @@ def solution_to_json(sol: EquilibriumSolution) -> dict:
     num = lambda v: mp.nstr(v, repr_dps(mp.prec))
     return {
         "intervals": [[num(iv.a), num(iv.b)] for iv in sol.intervals],
-        "lambdas": [
-            {
-                "cell_edges": [num(e) for e in lam.cell_edges],
-                "weights": [num(w) for w in lam.weights],
-            }
-            for lam in sol.lambdas
-        ],
+        "lambdas": [[num(v) for v in lam.coeffs] for lam in sol.lambdas],
         "omega_prime": [num(v) for v in sol.omega_prime],
         "omega_cum": [num(v) for v in sol.omega_cum],
         "residual": mp.nstr(sol.residual, 8),
@@ -187,18 +179,12 @@ def solution_to_json(sol: EquilibriumSolution) -> dict:
 
 def solution_from_json(doc: dict) -> EquilibriumSolution:
     intervals = tuple(Interval(a, b) for a, b in doc["intervals"])
-    lambdas = []
-    for l in doc["lambdas"]:
-        w = [mpf(v) for v in l["weights"]]
-        total = sum(w, mpf(0))
-        # restore unit mass lost to fewer digits (round-trip weights keep it)
-        if abs(total - 1) > len(w) * mp.eps:
-            w = [v / total for v in w]
-        lambdas.append(_cells([mpf(e) for e in l["cell_edges"]], w))
-    lambdas = tuple(lambdas)
     return EquilibriumSolution(
         intervals=intervals,
-        lambdas=lambdas,
+        lambdas=tuple(
+            ChebyshevMeasure(iv, coeffs)
+            for iv, coeffs in zip(intervals, doc["lambdas"], strict=True)
+        ),
         omega_prime=tuple(mpf(v) for v in doc["omega_prime"]),
         omega_cum=tuple(mpf(v) for v in doc["omega_cum"]),
         residual=mpf(doc["residual"]),

@@ -246,7 +246,8 @@ def form_identity_residual(sol: HPSolution, j: int, z):
         A_{n,j} + sum_{k=j+1}^{m-1} (-1)^{k-j} shat_{k,j+1} A_{n,k}
             = (-1)^j (a_{n,j} - a_{n,m} shat_{m,j+1}),
 
-    divided by the largest term magnitude.
+    divided by the largest term magnitude, the right-hand side's two terms
+    included: they cancel geometrically in n, while their rounding does not.
     """
     m = sol.m
     if not 0 <= j <= m - 1:
@@ -255,12 +256,10 @@ def form_identity_residual(sol: HPSolution, j: int, z):
     for k in range(j + 1, m):
         sk = 1 if (k - j) % 2 == 0 else -1
         terms.append(sk * sol.system.s_hat(k, j + 1, z) * sol.eval_form(k, z))
-    sj = 1 if j % 2 == 0 else -1
-    rhs = sj * (
-        sol.a[j](z) - sol.a[m](z) * sol.system.s_hat(m, j + 1, z)
-    )
+    aj, am_s = sol.a[j](z), sol.a[m](z) * sol.system.s_hat(m, j + 1, z)
+    rhs = (1 if j % 2 == 0 else -1) * (aj - am_s)
     res = abs(sum(terms) - rhs)
-    scale = max(max(abs(t) for t in terms), abs(rhs))
+    scale = max(*(abs(t) for t in terms), abs(rhs), abs(aj), abs(am_s))
     return res / scale if scale > 0 else res
 
 

@@ -5,6 +5,11 @@ interval, and consecutive degrees' zeros interlace (structure theory
 upstream): degree n's sign-change brackets are degree n - 1's zeros, or a
 grid scan when those do not alternate f's sign, and safeguarded Newton
 refines each; for polynomials a companion-matrix fallback covers the rest.
+
+Zero-counting measures are atoms (`DiscreteMeasure`); equilibrium components
+are Chebyshev series against the arcsine weight (`ChebyshevMeasure`), whose
+log potentials and moments are closed-form sums over their coefficients.
+`moment_distance` compares any two of either kind.
 """
 
 from __future__ import annotations
@@ -123,19 +128,10 @@ def real_roots(p: Polynomial, bracket: Interval, below=None):
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Atoms (points, weights), or a piecewise-constant density when
-    cell_edges is given (points are then cell representatives and weights the
-    cell masses; len(cell_edges) = len(points) + 1)."""
+    """Atoms at points with positive weights, sorted by point."""
 
     points: tuple
     weights: tuple
-    cell_edges: tuple | None = None
-    # density jumps by precision: every potential and moment pass uses them
-    _jumps: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    # rescaled moments by (hull, K, precision): see `rescaled_moments`
-    _rescaled: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    # V^mu(z) by (probe point, precision): see `log_potential`
-    _potentials: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         pts = tuple(mpf(p) for p in self.points)
@@ -144,19 +140,9 @@ class DiscreteMeasure:
             raise ValueError("points and weights must be nonempty, same length")
         if any(not w > 0 for w in wts):
             raise ValueError("weights must be positive")
-        if self.cell_edges is None:
-            order = sorted(range(len(pts)), key=lambda i: pts[i])
-            pts = tuple(pts[i] for i in order)
-            wts = tuple(wts[i] for i in order)
-        else:
-            edges = tuple(mpf(e) for e in self.cell_edges)
-            if len(edges) != len(pts) + 1:
-                raise ValueError("need len(points)+1 cell edges")
-            if any(not a < b for a, b in zip(edges, edges[1:])):
-                raise ValueError("cell edges must be strictly increasing")
-            object.__setattr__(self, "cell_edges", edges)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", wts)
+        order = sorted(range(len(pts)), key=lambda i: pts[i])
+        object.__setattr__(self, "points", tuple(pts[i] for i in order))
+        object.__setattr__(self, "weights", tuple(wts[i] for i in order))
 
     @property
     def mass(self) -> mpf:
@@ -168,49 +154,65 @@ class DiscreteMeasure:
 
     @property
     def support_bounds(self):
-        if self.cell_edges is not None:
-            return self.cell_edges[0], self.cell_edges[-1]
         return self.points[0], self.points[-1]
 
-    def _density_jumps(self):
-        """Jumps of the cell density at the cell edges, d_i - d_{i-1} with
-        d_l = w_l / h_l on cell l and d = 0 outside the support."""
-        jumps = self._jumps.get(mp.prec)
-        if jumps is None:
-            e, d = self.cell_edges, [mpf(0)]
-            d += [w / (b - a) for w, a, b in zip(self.weights, e, e[1:])]
-            d.append(mpf(0))
-            jumps = self._jumps.setdefault(mp.prec, [b - a for a, b in zip(d, d[1:])])
-        return jumps
-
     def moments(self, K: int):
-        """Moments 0..K in one pass of running powers.  For the
-        piecewise-constant case each is exact: summed by parts over the cell
-        edges, m_k = -sum_i J_i e_i^(k+1) / (k+1) with J the density jumps."""
-        cells = self.cell_edges is not None
-        if cells:
-            pts, coef, powers = self.cell_edges, self._density_jumps(), list(self.cell_edges)
-        else:
-            pts, coef, powers = self.points, self.weights, [mpf(1)] * len(self.points)
-        out = []
+        """Moments 0..K in one pass of running powers."""
+        out, powers = [], [mpf(1)] * len(self.points)
         for k in range(K + 1):
             if k:
-                powers = [p * t for p, t in zip(powers, pts)]
-            total = sum(map(mul, coef, powers), mpf(0))
-            out.append(-total / (k + 1) if cells else total)
+                powers = [p * t for p, t in zip(powers, self.points)]
+            out.append(sum(map(mul, self.weights, powers), mpf(0)))
         return out
 
     def rescaled_moments(self, c, d, K: int):
-        """Moments 0..K after mapping [c, d] onto [-1, 1], cached by (c, d,
-        K, precision) like the density jumps."""
-        key = (c, d, K, mp.prec)
-        cached = self._rescaled.get(key)
-        if cached is None:
-            phi = lambda t: (2 * t - c - d) / (d - c)
-            edges = self.cell_edges and tuple(map(phi, self.cell_edges))
-            moved = DiscreteMeasure(tuple(map(phi, self.points)), self.weights, edges)
-            cached = self._rescaled.setdefault(key, moved.moments(K))
-        return cached
+        """Moments 0..K after mapping [c, d] onto [-1, 1]."""
+        phi = lambda t: (2 * t - c - d) / (d - c)
+        return DiscreteMeasure(tuple(map(phi, self.points)), self.weights).moments(K)
+
+
+@dataclass(frozen=True)
+class ChebyshevMeasure:
+    """Unit mass on the interval [c - r, c + r] with density
+    sum_{i=0}^K a_i T_i(s) / (pi sqrt(1 - s^2)) in s = (t - c)/r, where
+    a_0 = 1 and coeffs = (a_1, ..., a_K): an equilibrium component."""
+
+    interval: Interval
+    coeffs: tuple
+    # V^mu(z) by (probe point, precision): see `log_potential`
+    _potentials: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        coeffs = tuple(mpf(a) for a in self.coeffs)
+        if not all(mp.isfinite(a) for a in coeffs):
+            raise ValueError("Chebyshev coefficients must be finite")
+        object.__setattr__(self, "coeffs", coeffs)
+
+    normalized = True  # a_0 = 1 is the unit mass
+
+    @property
+    def support_bounds(self):
+        return self.interval.a, self.interval.b
+
+    def rescaled_moments(self, c, d, K: int):
+        """Moments 0..K after mapping [c, d] onto [-1, 1], exact sums over the
+        coefficients: the image of t is alpha + beta s, the Chebyshev modes
+        p_l of (alpha + beta s)^k follow from s T_0 = T_1 and s T_l =
+        (T_{l-1} + T_{l+1})/2, and int T_l T_i darcsine is 1 (l = i = 0),
+        1/2 (l = i > 0) or 0."""
+        iv = self.interval
+        alpha, beta = (2 * iv.midpoint - c - d) / (d - c), iv.length / (d - c)
+        weights = (mpf(1), *(a / 2 for a in self.coeffs))
+        p, out = [mpf(1)], [mpf(1)]
+        for _ in range(K):
+            sp = [mpf(0)] * (len(p) + 1)
+            sp[1] = p[0]
+            for l, v in enumerate(p[1:], 1):
+                sp[l - 1] += v / 2
+                sp[l + 1] += v / 2
+            p = [alpha * u + beta * v for u, v in zip(p + [mpf(0)], sp)]
+            out.append(mp.fdot(p[: len(weights)], weights[: len(p)]))
+        return out
 
 
 def counting_measure(zeros) -> DiscreteMeasure:
@@ -233,41 +235,47 @@ def interlaces(za, zb) -> bool:
     return all(zb[i] < za[i] < zb[i + 1] for i in range(len(za)))
 
 
-def _log_antiderivative(u):
-    """g(u) = -u (log|u| - 1), so that g(z - t) is an antiderivative of
-    log|z - t| in t (real part for complex u); g(0) = 0 at the integrable
-    singularity, so the closed form holds for z on the support too."""
-    if u == 0:
-        return mpf(0)
-    if isinstance(u, mpc):
-        return (-u * (mp.log(u) - 1)).real
-    return -u * (mp.log(abs(u)) - 1)
-
-
-def log_potential(mu: DiscreteMeasure, z):
-    """V^mu(z) = integral of log(1/|z-t|) dmu(t) for a cell density mu: the
-    exact closed-form integral, summed by parts over the cell edges,
-    V = sum_i J_i g(z - e_i) with J the density jumps (one log per edge);
-    valid on the support too.  Cached on mu by (z, precision): the
-    estimators ask for the same few potentials many times.
-    """
-    if mu.cell_edges is None:
-        raise ValueError("log_potential needs a cell density, not atoms")
+def log_potential(mu: ChebyshevMeasure, z):
+    """V^mu(z) = integral of log(1/|z-t|) dmu(t), cached on mu by (z,
+    precision): the estimators ask for the same few potentials many times."""
+    if not isinstance(mu, ChebyshevMeasure):
+        raise ValueError("log_potential needs an equilibrium density, not atoms")
     z = _probe_point(z)
     key = (z, mp.prec)
     value = mu._potentials.get(key)
     if value is None:
-        total = sum(
-            (J * _log_antiderivative(z - e)
-             for J, e in zip(mu._density_jumps(), mu.cell_edges)),
-            mpf(0),
-        )
-        value = mu._potentials.setdefault(key, total)
+        value = mu._potentials.setdefault(key, _potential(mu, z))
     return value
 
 
-def moment_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, K: int) -> mpf:
-    """sup_{k<=K} |m_k(mu) - m_k(nu)| after rescaling the joint hull to [-1,1].
+def _potential(mu: ChebyshevMeasure, z):
+    """The closed form, K terms: log(2/r) + sum_i a_i T_i(xi)/i on the
+    support, xi = (z - c)/r, and log(2/r) - log|phi| + sum_i a_i Re phi^{-i}/i
+    off it, phi = xi + sqrt(xi^2 - 1) with |phi| > 1, at real and complex z
+    alike."""
+    r = mu.interval.length / 2
+    xi = (z - mu.interval.midpoint) / r
+    total = mp.log(2 / r)
+    if isinstance(xi, mpf) and abs(xi) <= 1:
+        t_prev, t = mpf(1), xi
+        for i, a in enumerate(mu.coeffs, 1):
+            total += a * t / i
+            t_prev, t = t, 2 * xi * t - t_prev
+        return total
+    phi = xi + mp.sqrt(xi * xi - 1)
+    if abs(phi) < 1:
+        phi = 1 / phi
+    w = power = 1 / phi
+    total -= mp.log(abs(phi))
+    for i, a in enumerate(mu.coeffs, 1):
+        total += a * mp.re(power) / i
+        power *= w
+    return total
+
+
+def moment_distance(mu, nu, K: int) -> mpf:
+    """sup_{k<=K} |m_k(mu) - m_k(nu)| after rescaling the joint hull to [-1,1],
+    for DiscreteMeasure and ChebyshevMeasure alike.
 
     Weak-star proxy metric: both measures must be normalized.
     """

@@ -21,10 +21,10 @@ from cauchybi.precision import DEFAULT_PRECISION_BITS
 
 M3_INTERVALS = ((0, 1), ("1.15", "2.15"), ("2.3", "3.3"))
 M3_NODES = 160
-# 13 equilibrium cells on a long interval next to a nearly touching short
-# one: the KKT point gives the long interval's second cell a negative mass
+# a long interval between nearly touching short ones: the equilibrium's
+# Chebyshev series does not resolve below the default tol by K = 256, and
+# at K = 8 the long interval's density factor dips below zero
 BOUNDARY_CHAIN = (("0", "0.3"), ("0.3006", "0.3046"), ("0.3048", "22.9"), ("22.93", "23.03"))
-BOUNDARY_CELLS = 13
 
 
 @pytest.fixture(autouse=True)
@@ -87,27 +87,19 @@ def m3_reversed_solutions(m3_system):
 @pytest.fixture(scope="session")
 def eq_s1(s1_system):
     set_precision(DEFAULT_PRECISION_BITS)
-    return solve_equilibrium(
-        [s1_system.interval(1)], cells_per_interval=1024
-    )
+    return solve_equilibrium([s1_system.interval(1)])
 
 
 @pytest.fixture(scope="session")
 def eq_s2(s2_system):
     set_precision(DEFAULT_PRECISION_BITS)
-    return solve_equilibrium(
-        [s2_system.interval(1), s2_system.interval(2)],
-        cells_per_interval=512,
-    )
+    return solve_equilibrium([s2_system.interval(1), s2_system.interval(2)])
 
 
 @pytest.fixture(scope="session")
 def eq_s2_reversed(s2_system):
     set_precision(DEFAULT_PRECISION_BITS)
-    return solve_equilibrium(
-        [s2_system.interval(2), s2_system.interval(1)],
-        cells_per_interval=512,
-    )
+    return solve_equilibrium([s2_system.interval(2), s2_system.interval(1)])
 
 
 @pytest.fixture(scope="session")
@@ -140,8 +132,5 @@ def s2_hi_solutions(s2_hi_system):
 @pytest.fixture(scope="session")
 def pred_s2_hi(s2_hi_system):
     set_precision(HI_BITS)
-    eq = solve_equilibrium(
-        [s2_hi_system.interval(1), s2_hi_system.interval(2)],
-        cells_per_interval=512,
-    )
+    eq = solve_equilibrium([s2_hi_system.interval(1), s2_hi_system.interval(2)])
     return make_predictor(eq)

@@ -5,7 +5,6 @@ against."""
 import functools
 import weakref
 
-import numpy as np
 from mpmath import mp, mpc, mpf
 
 from cauchybi import Polynomial, SupportError, SystemError_, log_potential
@@ -167,7 +166,7 @@ def eval_form_direct(sol, j: int, z):
 
 def combined_potential(eq, j: int, z):
     """W_j(z) = sum_k c_{j,k} V^{lambda_k}(z) with the Nikishin coupling
-    c_{jj} = 1, c_{j,j+-1} = -1/2, from the exact cell potentials."""
+    c_{jj} = 1, c_{j,j+-1} = -1/2, from the closed-form potentials."""
     if not 1 <= j <= eq.m:
         raise IndexError(f"component {j} out of 1..{eq.m}")
     total = log_potential(eq.lambdas[j - 1], z)
@@ -175,10 +174,3 @@ def combined_potential(eq, j: int, z):
         if 1 <= k <= eq.m:
             total -= log_potential(eq.lambdas[k - 1], z) / 2
     return total
-
-
-def zero_mass_basis(m: int, M: int) -> np.ndarray:
-    """Orthonormal columns spanning the cell-mass vectors (m intervals of M
-    cells) that keep every interval's total mass."""
-    A = np.kron(np.eye(m), np.ones(M))
-    return np.linalg.svd(A)[2][m:].T

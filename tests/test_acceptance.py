@@ -5,7 +5,6 @@ measured quantities against their tolerances) and then asserts the verdict,
 so the full ledger of measured values survives in the test log.
 """
 
-import numpy as np
 from mpmath import mp, mpc, mpf
 
 from cauchybi import (
@@ -20,12 +19,12 @@ from cauchybi import (
     solve_hp_vector,
     solve_reversed,
 )
-from cauchybi.equilibrium import _cells, _chebyshev_edges, _interaction_matrix
-from cauchybi.polyzeros import counting_measure, moment_distance
+from cauchybi.equilibrium import EquilibriumSolution, _spectral
+from cauchybi.polyzeros import ChebyshevMeasure, counting_measure, moment_distance
 from cauchybi.precision import tol
 
 from conftest import HI_BITS, M3_INTERVALS, M3_NODES
-from helpers import combined_potential, zero_mass_basis
+from helpers import combined_potential
 
 
 def _report(num, name, ok, detail):
@@ -274,20 +273,29 @@ def test_criterion_6_nth_root_and_rate(s2_hi_system, s2_hi_solutions, pred_s2_hi
 
 
 def test_criterion_7_equilibrium_independence(eq_s2, eq_s2_reversed):
-    # the same discrete minimizer reached by a second route: from equal cell
-    # masses (the arcsine profile) along the zero-mass directions
-    M = len(eq_s2.lambdas[0].weights)
-    edges = [_chebyshev_edges(float(iv.a), float(iv.b), M) for iv in eq_s2.intervals]
-    Q = _interaction_matrix(edges)
-    Z = zero_mass_basis(2, M)
-    x0 = np.full(2 * M, 1.0 / M)
-    x = x0 + Z @ np.linalg.solve(Z.T @ Q @ Z, -Z.T @ (Q @ x0))
-    alt = []
-    for j in range(2):
-        w = [mpf(v) for v in x[j * M : (j + 1) * M]]
-        total = sum(w)
-        alt.append(_cells([mpf(e) for e in edges[j]], [v / total for v in w]))
-    init_gap = max(moment_distance(a, b, 12) for a, b in zip(eq_s2.lambdas, alt))
+    # a second route to the same minimizer: the series re-solved at twice its
+    # converged length, whose W_j - omega'_j must vanish at 21 interior points
+    # of each interval, which are not the modes either solve matched
+    K = len(eq_s2.lambdas[0].coeffs)
+    ivs = [(float(iv.midpoint), float(iv.length) / 2) for iv in eq_s2.intervals]
+    _, a, omega = _spectral(ivs, 2 * K)
+    alt = EquilibriumSolution(
+        eq_s2.intervals,
+        tuple(ChebyshevMeasure(iv, row[1:]) for iv, row in zip(eq_s2.intervals, a)),
+        tuple(mpf(w) for w in omega),
+        (),
+        mpf(0),
+    )
+    level_gap = max(
+        abs(combined_potential(alt, j, iv.a + iv.length * i / 22) - alt.omega_prime[j - 1])
+        for j, iv in enumerate(alt.intervals, 1)
+        for i in range(1, 22)
+    )
+    init_gap = max(
+        level_gap,
+        *(abs(x - y) for x, y in zip(eq_s2.omega_prime, alt.omega_prime)),
+        *(moment_distance(x, y, 12) for x, y in zip(eq_s2.lambdas, alt.lambdas)),
+    )
     rev_gap = max(
         moment_distance(a, b, 12)
         for a, b in zip(eq_s2_reversed.lambdas, tuple(reversed(eq_s2.lambdas)))

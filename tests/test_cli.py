@@ -11,7 +11,7 @@ import pytest
 
 from cauchybi import equilibrium, polyzeros
 from cauchybi.cli import ALL_SUITES, _solve_eq, load_config, main, run_manifest
-from conftest import BOUNDARY_CELLS, BOUNDARY_CHAIN
+from conftest import BOUNDARY_CHAIN
 
 ROOT = Path(__file__).resolve().parent.parent
 TABLE_KINDS = ("ratioQ", "nthroot", "rate", "formratio", "leading")
@@ -115,10 +115,16 @@ def test_low_precision_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("cells", [0, -3])
-def test_nonpositive_equilibrium_cells_rejected(tmp_path, capsys, cells):
-    doc = dict(M1_CONFIG, equilibrium={"cells": cells})
-    assert main(["solve-eq", "--config", write_config(tmp_path, doc)]) == 2
-    assert "equilibrium.cells must be >= 1" in capsys.readouterr().err
+def test_equilibrium_cells_ignored(tmp_path, cells):
+    # cells set the earlier cell solver's discretization; any value, even
+    # one that solver refused, changes no output byte
+    outs = []
+    for name, eq in (("without", {}), ("with", {"cells": cells})):
+        (tmp_path / name).mkdir()
+        cfg = write_config(tmp_path / name, dict(M1_CONFIG, equilibrium=eq))
+        assert main(["solve-eq", "--config", cfg]) == 0
+        outs.append({p.name: p.read_bytes() for p in (tmp_path / name / "out").iterdir()})
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("tol", ["0", "-1"])
@@ -149,10 +155,9 @@ def test_equilibrium_on_boundary_exits_3(tmp_path, capsys):
     doc = dict(
         M1_CONFIG,
         system=[{"interval": list(iv)} for iv in BOUNDARY_CHAIN],
-        equilibrium={"cells": BOUNDARY_CELLS},
     )
     assert main(["solve-eq", "--config", write_config(tmp_path, doc)]) == 3
-    assert "non-positive cell mass" in capsys.readouterr().err
+    assert "too narrow to resolve" in capsys.readouterr().err
 
 
 def test_rate_table_rejected_for_m1(tmp_path):
@@ -319,7 +324,7 @@ def test_force_recomputes_saved_equilibrium(tmp_path):
     path = tmp_path / "out" / "equilibrium.json"
     fresh = json.loads(path.read_text())
     edited = json.loads(path.read_text())
-    edited["lambdas"][0]["weights"][0] = "0.5"
+    edited["lambdas"][0][0] = "0.5"
     path.write_text(json.dumps(edited))
     assert main(["verify", "--config", cfg, "--force"]) == 0
     assert json.loads(path.read_text()) == fresh
@@ -356,22 +361,22 @@ def test_verify_reads_saved_equilibrium_exactly(tmp_path):
 
 def test_verify_and_tables_compute_each_potential_once(tmp_path, monkeypatch):
     # verify solves the equilibrium and the five tables load its file: in one
-    # process they share its measures, so each V^{lambda_k}(z) is one sum
-    # over the cell edges, one antiderivative per edge
-    calls = [0]
-    antiderivative = polyzeros._log_antiderivative
+    # process they share its measures, so each V^{lambda_k}(z) is evaluated
+    # once per (level, probe)
+    calls = []
+    potential = polyzeros._potential
 
-    def counted(u):
-        calls[0] += 1
-        return antiderivative(u)
+    def counted(mu, z):
+        calls.append((mu.interval, z))
+        return potential(mu, z)
 
-    monkeypatch.setattr(polyzeros, "_log_antiderivative", counted)
+    monkeypatch.setattr(polyzeros, "_potential", counted)
     cfg = write_config(tmp_path, S2_CONFIG)
     assert main(["verify", "--config", cfg]) == 0
     for which in TABLE_KINDS:
         assert main(["tables", "--config", cfg, "--which", which]) == 0
     m, probes = 2, len(load_config(cfg).probes)
-    assert calls[0] == m * probes * (S2_CONFIG["equilibrium"]["cells"] + 1)
+    assert len(calls) == len(set(calls)) == m * probes
 
 
 def test_edited_equilibrium_is_read_again_in_process(tmp_path):
@@ -382,7 +387,7 @@ def test_edited_equilibrium_is_read_again_in_process(tmp_path):
     first = table.read_bytes()
     path = out / "equilibrium.json"
     doc = json.loads(path.read_text())
-    doc["lambdas"][0]["weights"][0] = "0.5"  # renormalized on load
+    doc["lambdas"][0][0] = "0.5"  # a_1: density 1 + T_1(s)/2
     path.write_text(json.dumps(doc))
     assert main(["tables", "--config", cfg, "--which", "ratioQ"]) == 0
     edited = table.read_bytes()
@@ -432,8 +437,6 @@ def _changed(key):
         doc["quad_nodes"] = 32
     elif key == "precision_bits":
         doc["precision_bits"] = 256
-    elif key == "equilibrium_cells":
-        doc["equilibrium"]["cells"] = 64
     elif key == "equilibrium_tol":
         doc["equilibrium"]["tol"] = "1e-9"
     return doc
@@ -446,7 +449,6 @@ def _changed(key):
         "weights",
         "quad_nodes",
         "precision_bits",
-        "equilibrium_cells",
         "equilibrium_tol",
         "schema",
     ],
@@ -467,6 +469,37 @@ def test_manifest_mismatch_is_validation_error(tmp_path, capsys, key):
     # nothing was resumed, solved or rewritten
     assert not list(out.glob("hp_*"))
     assert (out / "equilibrium.json").stat().st_mtime_ns == eq_before
+
+
+def test_schema_2_directory_exits_2_unless_force(tmp_path, capsys):
+    # solved by the cell solver: its manifest has schema 2 and the cells
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, S2_CONFIG)
+    assert main(["solve-eq", "--config", cfg]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    (out / "manifest.json").write_text(json.dumps(dict(manifest, schema=2, equilibrium_cells=128)))
+    eq_before = (out / "equilibrium.json").stat().st_mtime_ns
+    capsys.readouterr()
+    assert main(["solve-eq", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "(differing keys: equilibrium_cells, schema)" in err and "--force" in err
+    assert (out / "equilibrium.json").stat().st_mtime_ns == eq_before
+    assert main(["solve-eq", "--config", cfg, "--force"]) == 0
+    assert json.loads((out / "manifest.json").read_text()) == manifest
+
+
+def test_cell_format_equilibrium_is_damaged(tmp_path, capsys):
+    # the cell solver's equilibrium.json under this version's manifest
+    cfg = write_config(tmp_path, M1_CONFIG)
+    assert main(["solve-eq", "--config", cfg]) == 0
+    path = tmp_path / "out" / "equilibrium.json"
+    doc = json.loads(path.read_text())
+    doc["lambdas"] = [{"cell_edges": ["-1", "0", "1"], "weights": ["0.5", "0.5"]}]
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["tables", "--config", cfg, "--which", "ratioQ"]) == 2
+    err = capsys.readouterr().err
+    assert f"{path} is damaged" in err and "rerun with --force" in err
 
 
 def test_manifest_mismatch_with_force_recomputes(tmp_path):

@@ -7,22 +7,28 @@ from mpmath import mp, mpf
 from cauchybi import moment_distance, solve_equilibrium
 from cauchybi.equilibrium import (
     EquilibriumError,
-    _chebyshev_edges,
-    _interaction_matrix,
+    _spectral,
     solution_from_json,
     solution_to_json,
 )
-from conftest import BOUNDARY_CELLS, BOUNDARY_CHAIN, M3_INTERVALS
-from helpers import combined_potential, zero_mass_basis
+from conftest import BOUNDARY_CHAIN, M3_INTERVALS
+from helpers import combined_potential
+
+# omega'_k of the earlier piecewise-constant solver, Richardson-extrapolated
+# from 512 and 1024 cells (its error is O(cells^-2))
+CELL_RICHARDSON = {
+    "s2": (1.7071003644019171, 1.7071003642818907),
+    "m3": (1.3881918256343582, 1.3221879396656888, 1.3881918255007275),
+}
 
 
 def test_m1_recovers_arcsine_facts(eq_s1):
     # single interval [-1,1]: omega' = log 2 (capacity 1/2), unit mass
-    assert abs(eq_s1.omega_prime[0] - mp.log(2)) < mpf("1e-6")
+    assert abs(eq_s1.omega_prime[0] - mp.log(2)) < mpf("1e-14")
     lam = eq_s1.lambdas[0]
     assert lam.normalized
-    # symmetric measure: odd moment vanishes to solver tolerance
-    assert abs(lam.moments(1)[1]) < mpf("1e-8")
+    # symmetric measure: odd moment vanishes
+    assert abs(lam.rescaled_moments(mpf(-1), mpf(1), 1)[1]) < mpf("1e-14")
 
 
 def test_m1_potential_constant_inside(eq_s1):
@@ -30,7 +36,7 @@ def test_m1_potential_constant_inside(eq_s1):
         abs(combined_potential(eq_s1, 1, mpf(-1) + mpf(2) * i / 20) - mp.log(2))
         for i in range(1, 20)
     ]
-    assert max(devs) < mpf("1e-4")
+    assert max(devs) < mpf("1e-14")
 
 
 def test_s2_masses_and_levels(eq_s2):
@@ -44,52 +50,63 @@ def test_s2_masses_and_levels(eq_s2):
 
 
 def test_s2_variational_conditions(eq_s2):
-    # W_j = omega'_j on supp(lambda_j): spot-check at interior cell points
-    for j in (1, 2):
-        lam = eq_s2.lambdas[j - 1]
-        pts = lam.points[len(lam.points) // 4 : -len(lam.points) // 4 : 64]
-        levels = [combined_potential(eq_s2, j, x) for x in pts]
+    # W_j = omega'_j on supp(lambda_j), endpoints included
+    for j, iv in enumerate(eq_s2.intervals, 1):
+        levels = [combined_potential(eq_s2, j, iv.a + iv.length * i / 20) for i in range(21)]
         target = eq_s2.omega_prime[j - 1]
-        assert max(abs(v - target) for v in levels) < mpf("1e-4")
+        assert max(abs(v - target) for v in levels) < mpf("1e-12")
+
+
+@pytest.mark.parametrize(
+    "name, intervals", [("s2", ((0, 1), (2, 3))), ("m3", M3_INTERVALS)], ids=["s2", "m3"]
+)
+def test_omega_prime_matches_cell_richardson(name, intervals):
+    eq = solve_equilibrium(intervals)
+    for w, ref in zip(eq.omega_prime, CELL_RICHARDSON[name], strict=True):
+        assert abs(w - ref) < 1e-8
 
 
 @pytest.mark.parametrize(
     "intervals", [((0, 1), (2, 3)), M3_INTERVALS], ids=["s2", "m3"]
 )
 def test_kkt_point_is_unique_minimizer(intervals):
-    # the energy is positive definite on directions that keep every
-    # interval's mass, so the one KKT point is the minimizer on the simplex,
-    # whatever an iterative solver would have started from
-    M = 128
-    edges = [_chebyshev_edges(float(a), float(b), M) for a, b in intervals]
-    Z = zero_mass_basis(len(edges), M)
-    eig = np.linalg.eigvalsh(Z.T @ _interaction_matrix(edges) @ Z)
+    # the mode equations are the energy's stationarity conditions in the
+    # coefficients a_{k,i}, i >= 1, which keep every interval's mass: their
+    # matrix is the energy's Hessian there, symmetric because the mutual
+    # energies are, and positive definite, so the solved point is the one
+    # minimizer
+    ivs = [((float(a) + float(b)) / 2, (float(b) - float(a)) / 2) for a, b in intervals]
+    S = _spectral(ivs, 32)[0]
+    assert np.max(np.abs(S - S.T)) < 1e-12
+    eig = np.linalg.eigvalsh((S + S.T) / 2)
     assert eig.min() > 1e-6 * eig.max()
 
 
 def test_boundary_minimizer_rejected():
-    with pytest.raises(EquilibriumError, match="component 3 has a non-positive cell mass"):
-        solve_equilibrium(BOUNDARY_CHAIN, cells_per_interval=BOUNDARY_CELLS)
+    with pytest.raises(EquilibriumError, match="too narrow to resolve"):
+        solve_equilibrium(BOUNDARY_CHAIN)
+    # a tol that accepts the unresolved K = 8 series meets its density dip
+    with pytest.raises(EquilibriumError, match=r"component 3 has density factor .* <= 0"):
+        solve_equilibrium(BOUNDARY_CHAIN, tol=mpf(2))
 
 
 def test_residual_above_tol_rejected():
-    # float64 levels are flat to ~1e-15, far above this tolerance
-    with pytest.raises(EquilibriumError, match="KKT residual"):
-        solve_equilibrium([(-1, 1)], cells_per_interval=32, tol=mpf("1e-30"))
+    # float64 resolves the levels to one rounding, far above this tolerance
+    with pytest.raises(EquilibriumError, match="residual"):
+        solve_equilibrium([(-1, 1)], tol=mpf("1e-30"))
 
 
 def test_reversal_symmetry(eq_s2, eq_s2_reversed):
     for x, y in zip(eq_s2.lambdas, reversed(eq_s2_reversed.lambdas)):
-        assert moment_distance(x, y, 12) < mpf("1e-6")
+        assert moment_distance(x, y, 12) < mpf("1e-12")
 
 
 def test_serialization_roundtrip(eq_s2):
     doc = solution_to_json(eq_s2)
+    # m series of K coefficients each, a_0 = 1 left out
+    K = len(eq_s2.lambdas[0].coeffs)
+    assert [len(c) for c in doc["lambdas"]] == [K, K]
     back = solution_from_json(doc)
     assert back.m == 2
-    for x, y in zip(eq_s2.lambdas, back.lambdas):
-        assert y.normalized
-        assert moment_distance(x, y, 8) < mpf("1e-20")
-    assert max(
-        abs(a - b) for a, b in zip(eq_s2.omega_prime, back.omega_prime)
-    ) < mpf("1e-25")
+    assert back.lambdas == eq_s2.lambdas
+    assert (back.omega_prime, back.omega_cum) == (eq_s2.omega_prime, eq_s2.omega_cum)

@@ -8,6 +8,7 @@ from cauchybi import (
     HPSolverError,
     Polynomial,
     biorthogonality_matrix,
+    default_probes,
     form_identity_residual,
     lebesgue,
     make_system,
@@ -16,6 +17,7 @@ from cauchybi import (
 )
 from cauchybi import polyzeros
 from cauchybi.hp import solution_from_json, solution_to_json
+from cauchybi.precision import tol
 from helpers import Qnj, biorthogonality_entry, eval_form_direct
 
 
@@ -172,6 +174,26 @@ def test_form_identity_m3(m3_solutions):
     for j in (0, 1, 2):
         r = form_identity_residual(sol, j, mpf(-2))
         assert r < mpf(10) ** (-70)
+
+
+def test_form_identity_passes_at_n40(s2_solutions):
+    # a_{n,0}/a_{n,m} -> shat_{m,1}, so the right-hand side a_0 - a_m shat
+    # cancels geometrically in n while the rounding of its terms does not:
+    # the scale holds both terms
+    sol = s2_solutions[40]
+    probes = default_probes([sol.system.interval(1), sol.system.interval(2)])
+    assert max(form_identity_residual(sol, j, z) for j in (0, 1) for z in probes) <= tol()
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_form_identity_fails_on_perturbed_a0(s2_solutions, where):
+    sol = s2_solutions[40]
+    coeffs = list(sol.a[0].coeffs)
+    i = {"first": 0, "middle": len(coeffs) // 2, "last": len(coeffs) - 1}[where]
+    coeffs[i] *= 1 + mpf(10) ** -60
+    bad = HPSolution(sol.system, sol.n, (Polynomial(coeffs), *sol.a[1:]), sol.c, sol.diagnostics)
+    probes = default_probes([sol.system.interval(1), sol.system.interval(2)])
+    assert max(form_identity_residual(bad, 0, z) for z in probes) > tol()
 
 
 def test_int1_consistency(s2_solutions):

@@ -14,7 +14,7 @@ from cauchybi import (
     moment_distance,
     real_roots,
 )
-from cauchybi.polyzeros import RootCountError, refine_bracket
+from cauchybi.polyzeros import ChebyshevMeasure, RootCountError, refine_bracket
 from helpers import from_roots
 
 
@@ -84,26 +84,37 @@ def test_discrete_measure_validation():
         DiscreteMeasure((), ())
     with pytest.raises(ValueError):
         DiscreteMeasure((mpf(0),), (mpf(-1),))
-    with pytest.raises(ValueError):
-        DiscreteMeasure((mpf(0),), (mpf(1),), cell_edges=(mpf(0),))
 
 
-def test_cell_measure_moments_exact():
-    # uniform density on [0,1] as a single cell: moment k = 1/(k+1)
-    mu = DiscreteMeasure((mpf("0.5"),), (mpf(1),), cell_edges=(mpf(0), mpf(1)))
-    for k in range(5):
-        assert abs(mu.moments(k)[k] - mpf(1) / (k + 1)) < mpf(10) ** (-100)
-    # and in unequal cells, where the sum by parts over the edges cancels
-    edges = (mpf(0), mpf("0.1"), mpf("0.35"), mpf("0.4"), mpf("0.8"), mpf(1))
-    cells = tuple(zip(edges, edges[1:]))
-    mu = DiscreteMeasure(
-        tuple((a + b) / 2 for a, b in cells), tuple(b - a for a, b in cells), edges
-    )
-    moments = mu.moments(20)
-    assert len(moments) == 21
-    for k, m_k in enumerate(moments):
-        assert abs(m_k - mpf(1) / (k + 1)) <= mpf(2) ** -(mp.prec - 8)
-        assert mu.moments(k)[k] == m_k
+# density (1 + a_1 T_1 + a_2 T_2 + a_3 T_3)(s) / (pi sqrt(1 - s^2)) on [2, 3],
+# positive on it
+SERIES = ChebyshevMeasure(Interval(2, 3), (mpf(1) / 2, -mpf(1) / 4, mpf(1) / 8))
+
+
+def _arcsine_average(f, N):
+    """int f(s) ds / (pi sqrt(1 - s^2)) by N-point Gauss-Chebyshev in
+    theta (s = cos theta): exact for polynomials of degree < 2N."""
+    thetas = [mp.pi * (n + mpf(1) / 2) / N for n in range(N)]
+    return sum((f(th) for th in thetas), mpf(0)) / N
+
+
+def _density(mu, th):
+    return 1 + sum((a * mp.cos(i * th) for i, a in enumerate(mu.coeffs, 1)), mpf(0))
+
+
+@pytest.mark.parametrize("hull", [(2, 3), (0, 3)], ids=["own", "wider"])
+def test_chebyshev_measure_moments_exact(hull):
+    # against Gauss-Chebyshev at doubled precision, exact for the degree-15
+    # integrands: (alpha + beta s)^k times the density factor
+    c, d = map(mpf, hull)
+    moments = SERIES.rescaled_moments(c, d, 12)
+    assert len(moments) == 13
+    with mp.workprec(2 * mp.prec):
+        iv = SERIES.interval
+        u = lambda th: (2 * (iv.midpoint + iv.length / 2 * mp.cos(th)) - c - d) / (d - c)
+        exact = [_arcsine_average(lambda th: u(th) ** k * _density(SERIES, th), 16) for k in range(13)]
+    for m_k, e in zip(moments, exact):
+        assert abs(m_k - e) <= mpf(2) ** -(mp.prec - 8)
 
 
 def test_log_potential_rejects_atoms():
@@ -112,66 +123,42 @@ def test_log_potential_rejects_atoms():
         log_potential(mu, mpf(2))
 
 
-def test_log_potential_cells_matches_closed_form():
-    # V of the uniform unit mass on [-1,1] at z=2: known closed form
-    mu = DiscreteMeasure(
-        (mpf(0),), (mpf(1),), cell_edges=(mpf(-1), mpf(1))
-    )
-    exact = -(3 * mp.log(3) - 1 * mp.log(1) - 2) / 2
-    assert abs(log_potential(mu, mpf(2)) - exact) < mpf(10) ** (-100)
+def test_log_potential_arcsine_matches_closed_form():
+    # the arcsine measure on [-1,1] off its support: log 2 - log|z + sqrt(z^2 - 1)|
+    mu = ChebyshevMeasure(Interval(-1, 1), ())
+    exact = mp.log(2) - mp.log(2 + mp.sqrt(3))
+    for z in (mpf(2), mpf(-2)):
+        assert abs(log_potential(mu, z) - exact) < mpf(10) ** (-100)
 
 
-def test_log_potential_cells_finite_on_support():
-    mu = DiscreteMeasure(
-        (mpf(0),), (mpf(1),), cell_edges=(mpf(-1), mpf(1))
-    )
-    v = log_potential(mu, mpf(0))
-    assert mp.isfinite(v)
-    # V(0) of uniform on [-1,1] is 1 (integral of -log|t|/2 over [-1,1])
-    assert abs(v - 1) < mpf(10) ** (-100)
-
-
-def _arcsine_cells(a, b, count):
-    """Chebyshev-spaced cells on [a, b] with arcsine masses: a density that
-    jumps at every edge and blows up towards both ends."""
-    edges = [a + (b - a) * (1 - mp.cospi(mpf(i) / count)) / 2 for i in range(count + 1)]
-    masses = [
-        (mp.asin(2 * (y - a) / (b - a) - 1) - mp.asin(2 * (x - a) / (b - a) - 1)) / mp.pi
-        for x, y in zip(edges, edges[1:])
-    ]
-    return DiscreteMeasure(
-        tuple((x + y) / 2 for x, y in zip(edges, edges[1:])), tuple(masses), tuple(edges)
-    )
-
-
-def _per_cell_potential(mu, z):
-    """V^mu(z) cell by cell: the closed form at both edges of every cell."""
-
-    def g(u):
-        if u == 0:
-            return mpf(0)
-        if isinstance(u, mpc):
-            return (-u * (mp.log(u) - 1)).real
-        return -u * (mp.log(abs(u)) - 1)
-
-    e = mu.cell_edges
-    return -sum(
-        (w / (b - a) * (g(z - b) - g(z - a)) for w, a, b in zip(mu.weights, e, e[1:])),
-        mpf(0),
-    )
+def test_log_potential_constant_on_support():
+    # the arcsine measure is the equilibrium of its interval: V = log(2/r) on it
+    for a, b in ((-1, 1), (2, 3)):
+        mu = ChebyshevMeasure(Interval(a, b), ())
+        exact = mp.log(4 / mpf(b - a))
+        for i in range(11):
+            v = log_potential(mu, a + mpf(b - a) * i / 10)
+            assert abs(v - exact) < mpf(10) ** (-100)
 
 
 @pytest.mark.parametrize(
     "z", [mpf(5), mpc("2.5", "0.75"), mpf("2.37"), mpf(2)], ids=["real", "complex", "inside", "endpoint"]
 )
-def test_log_potential_by_edges_matches_per_cell_form(z):
-    # summed by parts over the edges, against the per-cell sum at doubled
-    # precision; on the support the probe lies inside a cell or on an edge
-    mu = _arcsine_cells(mpf(2), mpf(3), 64)
-    v = log_potential(mu, z)
-    with mp.workprec(2 * mp.prec):
-        exact = _per_cell_potential(mu, z)
-    assert abs(v - exact) <= mpf(2) ** -(mp.prec - 16) * max(1, abs(exact))
+def test_log_potential_matches_quadrature(z):
+    # the defining integral in theta (t = c + r cos theta) by tanh-sinh;
+    # on the support in u = theta - theta_0, t(theta_0) = z, with
+    # |z - t| = 2r |sin(theta_0 + u/2) sin(u/2)|, so no node lands on u = 0
+    mu, iv = SERIES, SERIES.interval
+    c, r = iv.midpoint, iv.length / 2
+    if isinstance(z, mpc) or not iv.contains(z):
+        f = lambda th: -mp.log(abs(z - c - r * mp.cos(th))) * _density(mu, th) / mp.pi
+        exact = mp.quad(f, [0, mp.pi])
+    else:
+        th0 = mp.acos((z - c) / r)
+        dist = lambda u: 2 * r * abs(mp.sin(th0 + u / 2) * mp.sin(u / 2))
+        f = lambda u: -mp.log(dist(u)) * _density(mu, th0 + u) / mp.pi
+        exact = mp.quad(f, sorted({-th0, mpf(0), mp.pi - th0}))
+    assert abs(log_potential(mu, z) - exact) <= mpf(2) ** -(mp.prec - 16)
 
 
 def test_atom_moments_match_per_atom_sums():
