@@ -99,8 +99,8 @@ def _spectral(ivs, K: int):
 
 def _residual(ivs, a, omega) -> float:
     """max_j of |W_j - omega'_j| at 4K + 1 equispaced points inside Delta_j,
-    which are not the modes the solve matched, plus one rounding of the
-    largest term: float64 resolves no finer."""
+    which are not the modes the solve matched, plus eps times the sum of the
+    terms' magnitudes: float64 resolves no finer."""
     m, K = a.shape[0], a.shape[1] - 1
     s = np.linspace(-1, 1, 4 * K + 3)[1:-1]
     worst = 0.0
