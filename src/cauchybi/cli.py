@@ -6,6 +6,13 @@ precision; outputs are JSON/CSV with atomic writes, and existing per-degree
 solution files are reused unless --force is given.  An output directory's
 `manifest.json` names the config fields its files were solved for; a command
 whose config differs in any of them exits 2 unless --force is given.
+
+Commands run in one process (several `main` calls from one script) share a
+session keyed by the run manifest and the working precision: the forward
+system, built once, and every resumable file parsed or written, kept by its
+name and bytes.  So a later command reuses the chains, form values and
+potentials cached on them; a file with other bytes is parsed again, and a
+config with another manifest or precision starts a new session.
 """
 
 from __future__ import annotations
@@ -48,11 +55,6 @@ class ConfigError(ValueError):
 MANIFEST_SCHEMA = 3  # 2: cond is the exact kappa_1; 3: Chebyshev-series equilibrium
 # the files a command resumes from instead of solving
 _RESUMABLE = re.compile(r"hp_(forward|reversed)_n\d+\.json|equilibrium\.json")
-# the last equilibrium parsed or solved, by (its file's bytes, precision):
-# commands run in one process share its measures, and so the potentials
-# cached on them; a file with other bytes is parsed again.  The bytes are
-# the key itself, since importing hashlib maps OpenSSL (+3.6 MB resident)
-_last_eq = {}
 
 
 @dataclass
@@ -249,40 +251,94 @@ def _read(path: str) -> bytes:
         return fh.read()
 
 
+class _Session:
+    """What the commands of one process share for one run manifest and
+    precision: the forward system, built on first use, and each resumable
+    file parsed or written, kept by its name and bytes.  The bytes are the
+    key itself, since importing hashlib maps OpenSSL (+3.6 MB resident)."""
+
+    def __init__(self, key, cfg: RunConfig):
+        self.key = key
+        self._build = cfg.build_system
+        self._system = None
+        self._files = {}  # file name -> (bytes, parsed object)
+
+    def system(self) -> NikishinSystem:
+        if self._system is None:
+            self._system = self._build()
+        return self._system
+
+    def load(self, path: str, parse):
+        """parse(document) of the file at path, parsed again only when its
+        bytes differ from the ones kept under its name."""
+        data = _read(path)
+        name = os.path.basename(path)
+        kept = self._files.get(name)
+        if kept is None or kept[0] != data:
+            kept = self._files[name] = (data, _parse_saved(path, data, parse))
+        return kept[1]
+
+    def save(self, path: str, text: str, obj) -> None:
+        """Write text to path and keep obj under the bytes written: the
+        files hold round-trip digits, so parsing them gives obj back."""
+        atomic_write(path, text)
+        self._files[os.path.basename(path)] = (text.encode(), obj)
+
+
+_session = None
+
+
+def _session_for(cfg: RunConfig) -> _Session:
+    """This process's session for cfg; a config with another run manifest
+    or precision replaces the whole session."""
+    global _session
+    key = (json.dumps(run_manifest(cfg)), mp.prec)
+    if _session is None or _session.key != key:
+        _session = _Session(key, cfg)
+    return _session
+
+
 def _solution_path(outdir: str, kind: str, n: int) -> str:
     return os.path.join(outdir, f"hp_{kind}_n{n:03d}.json")
 
 
-def _get_solutions(cfg: RunConfig, sys_obj, kind: str, force: bool):
+def _solution_of(sys_obj, n: int, doc: dict):
+    """The solution a degree-n file holds, or None for a file without Q's
+    adapted coefficients: its monomial Q alone would start every chain with
+    lossy digits, so it is solved again."""
+    if "c" not in doc:
+        return None
+    if doc["n"] != n:
+        raise ValueError(f"n is {doc['n']}, the file name's is {n}")
+    return hp.solution_from_json(sys_obj, doc)
+
+
+def _get_solutions(cfg: RunConfig, session: _Session, kind: str, force: bool):
     """Solutions n = 0..n_max for one orientation, reusing saved files; a
     solved degree's zeros are bracketed by the previous degree's, whether
     that degree was loaded or solved."""
+    sys_obj = session.system() if kind == "forward" else session.system().reversed()
     sols = []
     for n in range(cfg.n_max + 1):
         path = _solution_path(cfg.outputs, kind, n)
         sol = None
         if not force and os.path.exists(path):
-            # a file without Q's adapted coefficients is solved again: its
-            # monomial Q alone would start every chain with lossy digits
-            sol = _parse_saved(
-                path,
-                _read(path),
-                lambda doc: hp.solution_from_json(sys_obj, doc) if "c" in doc else None,
-            )
+            sol = session.load(path, lambda doc: _solution_of(sys_obj, n, doc))
         if sol is None:
             sol = hp.solve_hp_vector(sys_obj, n)
             for j in range(1, sol.m + 1):
                 sol.zeros(j, below=sols[-1].zeros(j) if sols else None)
-            atomic_write(path, json.dumps(hp.solution_to_json(sol), indent=1))
+            session.save(path, json.dumps(hp.solution_to_json(sol), indent=1), sol)
         sols.append(sol)
     return sols
 
 
 def cmd_solve_hp(cfg: RunConfig, force: bool = False) -> int:
-    fwd_sys = cfg.build_system()
+    session = _session_for(cfg)
+    session.system()  # validated before the output directory is claimed
     _claim_outputs(cfg, force)
-    fwd = _get_solutions(cfg, fwd_sys, "forward", force)
-    rev = _get_solutions(cfg, fwd_sys.reversed(), "reversed", force)
+    fwd = _get_solutions(cfg, session, "forward", force)
+    rev = _get_solutions(cfg, session, "reversed", force)
     log = {
         "n_max": cfg.n_max,
         "condition_estimates": {
@@ -307,35 +363,26 @@ def _solve_eq(cfg: RunConfig, reverse: bool = False):
 
 
 def cmd_solve_equilibrium(cfg: RunConfig, force: bool = False) -> int:
+    session = _session_for(cfg)
     _claim_outputs(cfg, force)
     path = os.path.join(cfg.outputs, "equilibrium.json")
     if force or not os.path.exists(path):
-        _save_eq(path, _solve_eq(cfg))
+        _save_eq(session, path, _solve_eq(cfg))
     print(f"equilibrium solution written to {path}")
     return EXIT_OK
 
 
-def _save_eq(path: str, sol) -> None:
-    """Write sol and remember it under the bytes written: the file holds
-    round-trip digits, so parsing it gives the measures and omegas solved."""
-    text = json.dumps(equilibrium.solution_to_json(sol), indent=1)
-    atomic_write(path, text)
-    _last_eq.clear()
-    _last_eq[text.encode(), mp.prec] = sol
+def _save_eq(session: _Session, path: str, sol) -> None:
+    session.save(path, json.dumps(equilibrium.solution_to_json(sol), indent=1), sol)
 
 
-def _load_or_solve_eq(cfg: RunConfig):
+def _load_or_solve_eq(cfg: RunConfig, session: _Session):
     path = os.path.join(cfg.outputs, "equilibrium.json")
     if not os.path.exists(path):
         sol = _solve_eq(cfg)
-        _save_eq(path, sol)
+        _save_eq(session, path, sol)
         return sol
-    data = _read(path)
-    key = (data, mp.prec)
-    if key not in _last_eq:
-        _last_eq.clear()
-        _last_eq[key] = _parse_saved(path, data, equilibrium.solution_from_json)
-    return _last_eq[key]
+    return session.load(path, equilibrium.solution_from_json)
 
 
 def _suite_report(name, gaps, threshold):
@@ -356,17 +403,14 @@ def _skipped_report(name, threshold, reason):
     return {**_suite_report(name, [], threshold), "skipped": reason}
 
 
-def run_suites(cfg: RunConfig, sys_obj: NikishinSystem, suites, force: bool = False):
+def run_suites(cfg: RunConfig, session: _Session, suites, force: bool = False):
+    sys_obj = session.system()
     m = sys_obj.m
-    fwd = _get_solutions(cfg, sys_obj, "forward", force)
+    fwd = _get_solutions(cfg, session, "forward", force)
     need_rev = any(
         s in suites for s in ("biorthogonality", "weak-asymptotics")
     )
-    rev = (
-        _get_solutions(cfg, sys_obj.reversed(), "reversed", force)
-        if need_rev
-        else None
-    )
+    rev = _get_solutions(cfg, session, "reversed", force) if need_rev else None
     reports = []
     half_tol = tol()
     # the estimator suites check only n = n_max - 1, the last pair's rows,
@@ -377,7 +421,7 @@ def run_suites(cfg: RunConfig, sys_obj: NikishinSystem, suites, force: bool = Fa
         "rate" in suites and not rate_skip
     )
     eq = (
-        _load_or_solve_eq(cfg)
+        _load_or_solve_eq(cfg, session)
         if estimators
         or any(s in suites for s in ("weak-asymptotics", "reversal-symmetry"))
         else None
@@ -485,9 +529,10 @@ def cmd_verify(cfg: RunConfig, suites, force: bool = False) -> int:
     for s in suites:
         if s not in ALL_SUITES:
             raise ConfigError(f"unknown suite {s!r}")
-    sys_obj = cfg.build_system()
+    session = _session_for(cfg)
+    session.system()  # validated before the output directory is claimed
     _claim_outputs(cfg, force)
-    reports = run_suites(cfg, sys_obj, suites, force=force)
+    reports = run_suites(cfg, session, suites, force=force)
     atomic_write(
         os.path.join(cfg.outputs, "verify_report.json"),
         json.dumps(reports, indent=1),
@@ -506,12 +551,12 @@ def cmd_verify(cfg: RunConfig, suites, force: bool = False) -> int:
 def cmd_tables(cfg: RunConfig, which: str, force: bool = False) -> int:
     if which not in ("ratioQ", "nthroot", "rate", "formratio", "leading"):
         raise ConfigError(f"unknown table {which!r}")
-    sys_obj = cfg.build_system()
-    if which == "rate" and sys_obj.m < 2:
+    session = _session_for(cfg)
+    if which == "rate" and session.system().m < 2:
         raise ConfigError("rate table needs m >= 2")
     _claim_outputs(cfg, force)
-    sols = _get_solutions(cfg, sys_obj, "forward", force)
-    eq = _load_or_solve_eq(cfg)
+    sols = _get_solutions(cfg, session, "forward", force)
+    eq = _load_or_solve_eq(cfg, session)
     pred = asymptotics.make_predictor(eq)
     rows = asymptotics.empirical_tables(sols, cfg.probes, which, pred)
     atomic_write(

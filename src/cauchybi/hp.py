@@ -105,6 +105,7 @@ class HPSolution:
         self.m = system.m
         self._chains = dict(chains or {})
         self._blocks = {}
+        self._forms = {}
         self._zeros = {}
 
     @property
@@ -125,22 +126,31 @@ class HPSolution:
             self._chains.update(self.system.chain(low, k, self._chains[low]))
         return self._chains[k]
 
-    def eval_form(self, j: int, z, slope: bool = False):
+    def eval_form(self, j: int, z, slope: bool = False, keep: bool = True):
         """A_{n,j}(z); j=m is the polynomial (-1)^m a_{n,m} = Q_n.
 
         Contracts the cached chain vector at sigma_{j+1}'s nodes in the
         system's fixed-point operator.  slope=True (real z) returns
-        (A_{n,j}(z), A_{n,j}'(z)).
+        (A_{n,j}(z), A_{n,j}'(z)).  Values are memoized by (j, z, precision)
+        unless keep=False, which the zero scans pass: their grid points are
+        not asked for again.
         """
         if not 0 <= j <= self.m:
             raise IndexError(f"form index {j} out of 0..{self.m}")
-        if j == self.m:
-            return self.Q.value_and_slope(z) if slope else self.Q(z)
         z = _probe_point(z)
-        if not isinstance(z, mpc) and self.system.interval(j + 1).contains(z):
-            raise SupportError(f"z={z} lies on Delta_{j + 1}")
-        blocks = self._blocks.setdefault(j + 1, {})
-        return self.system.transform(j + 1, self._chain(j + 1), z, blocks, slope)
+        key = (j, z, mp.prec)
+        if not slope and key in self._forms:
+            return self._forms[key]
+        if j == self.m:
+            value = self.Q.value_and_slope(z) if slope else self.Q(z)
+        else:
+            if not isinstance(z, mpc) and self.system.interval(j + 1).contains(z):
+                raise SupportError(f"z={z} lies on Delta_{j + 1}")
+            blocks = self._blocks.setdefault(j + 1, {})
+            value = self.system.transform(j + 1, self._chain(j + 1), z, blocks, slope)
+        if keep and not slope:
+            self._forms[key] = value
+        return value
 
     # -- zeros ---------------------------------------------------------
 
@@ -159,7 +169,7 @@ class HPSolution:
         elif j == self.m:
             roots = tuple(real_roots(self.Q, iv, below))
         else:
-            f = lambda x, slope=False: self.eval_form(j, x, slope=slope)
+            f = lambda x, slope=False: self.eval_form(j, x, slope, keep=False)
             # slope bits start afresh: the zeros do not depend on earlier calls
             self._blocks.get(j + 1, {}).pop("slope bits", None)
             what = f"A_{{{n},{j}}} (precision/quadrature fault)"
@@ -286,16 +296,30 @@ def solution_to_json(sol: HPSolution) -> dict:
 
 
 def solution_from_json(sys: NikishinSystem, doc: dict) -> HPSolution:
-    """Rebuild a solution (with cached zeros) against an existing system;
-    `doc` must carry Q's adapted coefficients "c"."""
+    """Rebuild a solution (with its zeros) against an existing system.
+
+    `doc` must carry Q's adapted coefficients "c" and the n zeros of every
+    level, with m + 1 polynomials a whose last has degree n; a document of
+    another shape, or for another number of levels, raises ValueError."""
+    n, m = doc["n"], sys.m
+    if doc["m"] != m:
+        raise ValueError(f"m is {doc['m']}, the system's is {m}")
     a = [Polynomial(tuple(mpf(c) for c in coeffs)) for coeffs in doc["a"]]
+    c = [mpf(x) for x in doc["c"]]
+    zeros = {j: tuple(mpf(x) for x in doc["zeros"][str(j)]) for j in range(1, m + 1)}
+    shape = [("polynomials a", len(a), m + 1), ("coefficients c", len(c), n)]
+    # read only once a's length has passed
+    shape += [("degree of a_m", a[m].degree if len(a) == m + 1 else None, n)]
+    shape += [(f"zeros on level {j}", len(zs), n) for j, zs in zeros.items()]
+    for what, have, want in shape:
+        if have != want:
+            raise ValueError(f"{what}: {have}, not {want} for n = {n}")
     diag = {
         "cond": mpf(doc["diagnostics"]["cond"]),
         "solve_residual": mpf(doc["diagnostics"]["solve_residual"]),
         "residuals": [mpf(r) for r in doc["diagnostics"]["residuals"]],
         "scale": mpf(doc["diagnostics"]["scale"]),
     }
-    sol = HPSolution(sys, doc["n"], a, [mpf(c) for c in doc["c"]], diag)
-    for j_str, zs in doc.get("zeros", {}).items():
-        sol._zeros[int(j_str)] = tuple(mpf(x) for x in zs)
+    sol = HPSolution(sys, n, a, c, diag)
+    sol._zeros.update(zeros)
     return sol

@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from cauchybi import equilibrium, polyzeros
-from cauchybi.cli import ALL_SUITES, _solve_eq, load_config, main, run_manifest
+from cauchybi import cli, equilibrium, hp, polyzeros
+from cauchybi.cli import ALL_SUITES, RunConfig, _solve_eq, load_config, main, run_manifest
+from cauchybi.hp import HPSolution
+from cauchybi.nikishin import NikishinSystem
 from conftest import BOUNDARY_CHAIN
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -400,6 +402,189 @@ def test_edited_equilibrium_is_read_again_in_process(tmp_path):
     )
     assert code == 0, err
     assert (fresh / "table_ratioQ.json").read_bytes() == edited
+
+
+# -- the per-process session ---------------------------------------------
+
+RESUME_COMMANDS = [["verify"]] + [["tables", "--which", w] for w in TABLE_KINDS]
+
+
+@pytest.fixture(scope="module")
+def s2_solved(tmp_path_factory):
+    """An S2_CONFIG directory solved by solve-hp; tests copy it."""
+    base = tmp_path_factory.mktemp("s2")
+    assert main(["solve-hp", "--config", write_config(base, S2_CONFIG)]) == 0
+    return base / "out"
+
+
+def copy_solved(solved, tmp_path):
+    shutil.copytree(solved, tmp_path / "out")
+    return write_config(tmp_path, S2_CONFIG)
+
+
+def edit_c0(path):
+    """Change Q's first adapted coefficient, keeping the file's shape."""
+    doc = json.loads(path.read_text())
+    doc["c"][0] = "0.25"
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda doc, lower: lower, "n is 4, the file name's is 5"),
+        (lambda doc, lower: dict(doc, m=3), "m is 3, the system's is 2"),
+        (lambda doc, lower: dict(doc, c=doc["c"][:-1]), "coefficients c: 4, not 5"),
+        (lambda doc, lower: dict(doc, a=doc["a"][:-1]), "polynomials a: 2, not 3"),
+        (
+            lambda doc, lower: dict(doc, a=[*doc["a"][:-1], doc["a"][-1][:-1]]),
+            "degree of a_m: 4, not 5",
+        ),
+        (
+            lambda doc, lower: dict(doc, zeros=dict(doc["zeros"], **{"2": doc["zeros"]["2"][1:]})),
+            "zeros on level 2: 4, not 5",
+        ),
+        (
+            lambda doc, lower: dict(doc, zeros={"1": doc["zeros"]["1"]}),
+            "KeyError: '2'",
+        ),
+    ],
+    ids=["n-copied", "m", "c-short", "a-short", "deg-a_m", "zeros-short", "zeros-missing"],
+)
+def test_solution_file_of_wrong_shape_is_damaged(s2_solved, tmp_path, capsys, damage, message):
+    # hp_forward_n004.json copied over n005 once made both commands raise
+    # ValueError, and a short c went unnoticed by `tables`
+    cfg = copy_solved(s2_solved, tmp_path)
+    out = tmp_path / "out"
+    path = out / "hp_forward_n005.json"
+    doc = json.loads(path.read_text())
+    lower = json.loads((out / "hp_forward_n004.json").read_text())
+    path.write_text(json.dumps(damage(doc, lower)))
+    for command in (["tables", "--which", "nthroot"], ["verify"]):
+        capsys.readouterr()
+        assert main([command[0], "--config", cfg, *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert f"{path} is damaged" in err and message in err and "--force" in err
+
+
+def test_edited_solution_is_read_again_in_process(s2_solved, tmp_path):
+    cfg = copy_solved(s2_solved, tmp_path)
+    out = tmp_path / "out"
+    table = out / "table_nthroot.json"
+    assert main(["tables", "--config", cfg, "--which", "nthroot"]) == 0
+    first = table.read_bytes()
+    edit_c0(out / "hp_forward_n003.json")
+    assert main(["tables", "--config", cfg, "--which", "nthroot"]) == 0
+    edited = table.read_bytes()
+    assert edited != first
+    fresh = tmp_path / "fresh"
+    shutil.copytree(out, fresh)
+    (fresh / "table_nthroot.json").unlink()
+    code, err = main_in_fresh_process(
+        ["tables", "--config", cfg, "--which", "nthroot", "--out", str(fresh)]
+    )
+    assert code == 0, err
+    assert (fresh / "table_nthroot.json").read_bytes() == edited
+
+
+def test_other_manifest_builds_its_own_system(tmp_path, monkeypatch):
+    built = []
+    build = RunConfig.build_system
+
+    def counted(cfg):
+        built.append(cfg.quad_nodes)
+        return build(cfg)
+
+    monkeypatch.setattr(RunConfig, "build_system", counted)
+    monkeypatch.setattr(cli, "_session", None)
+    (tmp_path / "a").mkdir(), (tmp_path / "b").mkdir()
+    cfg_a = write_config(tmp_path / "a", S2_CONFIG)
+    cfg_b = write_config(tmp_path / "b", dict(S2_CONFIG, quad_nodes=48))
+    for cfg, nodes in ((cfg_a, [64]), (cfg_a, [64]), (cfg_b, [64, 48]), (cfg_a, [64, 48, 64])):
+        assert main(["tables", "--config", cfg, "--which", "nthroot"]) == 0
+        assert built == nodes
+    out_b, fresh = tmp_path / "b" / "out", tmp_path / "fresh"
+    shutil.copytree(out_b, fresh)
+    (fresh / "table_nthroot.json").unlink()
+    code, err = main_in_fresh_process(
+        ["tables", "--config", cfg_b, "--which", "nthroot", "--out", str(fresh)]
+    )
+    assert code == 0, err
+    assert (fresh / "table_nthroot.json").read_bytes() == (out_b / "table_nthroot.json").read_bytes()
+
+
+def test_tables_after_force_read_the_written_solutions(s2_solved, tmp_path, monkeypatch):
+    cfg = copy_solved(s2_solved, tmp_path)
+    out = tmp_path / "out"
+    table = out / "table_nthroot.json"
+    assert main(["tables", "--config", cfg, "--which", "nthroot"]) == 0
+    first = table.read_bytes()
+    edit_c0(out / "hp_forward_n003.json")
+    assert main(["tables", "--config", cfg, "--which", "nthroot"]) == 0
+    assert table.read_bytes() != first
+    assert main(["solve-hp", "--config", cfg, "--force"]) == 0
+    parsed = []
+    parse = hp.solution_from_json
+    monkeypatch.setattr(hp, "solution_from_json", lambda *a: parsed.append(a) or parse(*a))
+    assert main(["tables", "--config", cfg, "--which", "nthroot"]) == 0
+    assert table.read_bytes() == first
+    assert parsed == []  # each solution was kept under the bytes written
+
+
+def test_resume_pass_computes_each_form_once(s2_solved, tmp_path, monkeypatch):
+    # verify and the five tables over a solved directory, as in a fresh
+    # process: one forward system (and its reversal), each transform once
+    cfg = copy_solved(s2_solved, tmp_path)
+    monkeypatch.setattr(cli, "_session", None)
+    built, transforms, scanning = [], [], []
+    init, transform, zeros = NikishinSystem.__init__, NikishinSystem.transform, HPSolution.zeros
+
+    def counted_init(system, measures):
+        built.append(system)
+        init(system, measures)
+
+    def counted_transform(system, j, v, z, blocks, slope=False):
+        if not scanning:
+            transforms.append((v, j, z))  # v kept alive, so its id is not reused
+        return transform(system, j, v, z, blocks, slope)
+
+    def counted_zeros(sol, j, below=None):
+        scanning.append(j)
+        try:
+            return zeros(sol, j, below)
+        finally:
+            scanning.pop()
+
+    monkeypatch.setattr(NikishinSystem, "__init__", counted_init)
+    monkeypatch.setattr(NikishinSystem, "transform", counted_transform)
+    monkeypatch.setattr(HPSolution, "zeros", counted_zeros)
+    for command in RESUME_COMMANDS:
+        assert main([command[0], "--config", cfg, *command[1:]]) == 0
+    assert len(built) == 2 and built[1] is built[0].reversed()
+    keys = [(id(v), j, z) for v, j, z in transforms]
+    assert len(keys) == len(set(keys))
+    m, probes, n_max = 2, len(load_config(cfg).probes), S2_CONFIG["n_max"]
+    assert len(keys) <= (n_max + 1) * (m + 1) * probes
+
+
+def test_shared_session_writes_the_files_of_fresh_processes(tmp_path):
+    cfg = write_config(tmp_path, S2_CONFIG)
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    assert main(["solve-hp", "--config", cfg]) == 0
+    shutil.copytree(out, fresh)
+    for command in RESUME_COMMANDS:
+        assert main([command[0], "--config", cfg, *command[1:]]) == 0
+    for command in RESUME_COMMANDS:
+        code, err = main_in_fresh_process(
+            [command[0], "--config", cfg, *command[1:], "--out", str(fresh)]
+        )
+        assert code == 0, err
+    names = sorted(p.name for p in out.iterdir())
+    assert names == sorted(p.name for p in fresh.iterdir())
+    # 2 (n_max + 1) solutions, 2 logs, the report, the equilibrium, 15 tables
+    assert len(names) == 2 * (S2_CONFIG["n_max"] + 1) + 19
+    for name in names:
+        assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 @pytest.mark.parametrize(

@@ -254,6 +254,17 @@ def test_solution_serialization_roundtrip(s2_system, s2_solutions):
         ) < mpf(10) ** (-25) * max(1, max(abs(c) for c in p.coeffs))
 
 
+def test_eval_form_memo_skips_zero_scans(s2_system):
+    # a fresh solution: the zero scans leave no values, a probe keeps one
+    sol = solve_hp_vector(s2_system, 4)
+    assert len(sol.zeros(1)) == 4
+    assert sol._forms == {}
+    z = mpf("4.5")
+    first = sol.eval_form(0, z)
+    assert sol.eval_form(0, z) is first
+    assert list(sol._forms) == [(0, z, mp.prec)]
+
+
 def test_eval_form_rejects_on_support(s2_solutions):
     from cauchybi.measures import SupportError
 
