@@ -308,7 +308,7 @@ def solution_from_json(sys: NikishinSystem, doc: dict) -> HPSolution:
     c = [mpf(x) for x in doc["c"]]
     zeros = {j: tuple(mpf(x) for x in doc["zeros"][str(j)]) for j in range(1, m + 1)}
     shape = [("polynomials a", len(a), m + 1), ("coefficients c", len(c), n)]
-    # read only once a's length has passed
+    # a[m] is read only when a has its m + 1 entries
     shape += [("degree of a_m", a[m].degree if len(a) == m + 1 else None, n)]
     shape += [(f"zeros on level {j}", len(zs), n) for j, zs in zeros.items()]
     for what, have, want in shape:

@@ -452,8 +452,8 @@ def edit_c0(path):
     ids=["n-copied", "m", "c-short", "a-short", "deg-a_m", "zeros-short", "zeros-missing"],
 )
 def test_solution_file_of_wrong_shape_is_damaged(s2_solved, tmp_path, capsys, damage, message):
-    # hp_forward_n004.json copied over n005 once made both commands raise
-    # ValueError, and a short c went unnoticed by `tables`
+    # unchecked, each shape reaches the tables as a traceback or as rows of
+    # the wrong solution
     cfg = copy_solved(s2_solved, tmp_path)
     out = tmp_path / "out"
     path = out / "hp_forward_n005.json"
@@ -497,7 +497,8 @@ def test_other_manifest_builds_its_own_system(tmp_path, monkeypatch):
 
     monkeypatch.setattr(RunConfig, "build_system", counted)
     monkeypatch.setattr(cli, "_session", None)
-    (tmp_path / "a").mkdir(), (tmp_path / "b").mkdir()
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
     cfg_a = write_config(tmp_path / "a", S2_CONFIG)
     cfg_b = write_config(tmp_path / "b", dict(S2_CONFIG, quad_nodes=48))
     for cfg, nodes in ((cfg_a, [64]), (cfg_a, [64]), (cfg_b, [64, 48]), (cfg_a, [64, 48, 64])):
